@@ -10,8 +10,7 @@ fifth view and an exactly uniform random sampler.
 """
 
 from .bijection import (
-    NegativeFactorization,
-    PositiveFactorization,
+    Factorization,
     factor_last_negative_prime,
     factor_last_positive_prime,
     lift,
@@ -57,12 +56,9 @@ from .errors import (
 )
 from .paths import (
     DOWN,
-    EMPTY_PATH,
     UP,
     LatticePath,
     PathClass,
-    PrimeFactorization,
-    SignedPrime,
     factor_primes,
     heights,
     is_dyck,
@@ -75,7 +71,6 @@ from .series import (
     BivariateSeries,
     catalan_series,
     geometric_inverse,
-    multiply,
     n_series,
     prime_series_neg,
     prime_series_pos,

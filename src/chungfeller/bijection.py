@@ -21,7 +21,10 @@ negative prime (prefix + D + inner + U + suffix  ->  prefix + U +
 suffix + D + inner) and is its exact inverse.
 
 Both factorizations are unique, and both maps are defined verbatim when
-any of the segments is empty.
+any of the segments is empty.  Each map is one slice-and-glue of the
+steps tuple around the index range of the last prime of its sign;
+factor_last_positive_prime and factor_last_negative_prime return the
+same pieces as a Factorization(sign, prefix, inner, suffix).
 """
 
 from __future__ import annotations
@@ -29,112 +32,84 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NoNegativePrime, NoPositivePrime, NotDyckPath
-from .paths import (
-    DOWN,
-    UP,
-    LatticePath,
-    factor_primes,
-    is_dyck,
-    negativity,
-)
+from .paths import DOWN, UP, LatticePath, factor_primes, is_dyck
 
 
 @dataclass(frozen=True)
-class PositiveFactorization:
-    """original = prefix + U + inner + D + suffix, around the last positive prime.
+class Factorization:
+    """original = prefix + s + inner + (-s) + suffix, around the last prime of sign s.
 
-    ``inner`` is a Dyck path; ``suffix`` is a negative Dyck path.
+    For s = UP, ``inner`` is a Dyck path and ``suffix`` a negative Dyck
+    path; for s = DOWN, ``inner`` is a negative Dyck path and ``suffix`` a
+    Dyck path.
     """
 
+    sign: int
     prefix: LatticePath
     inner: LatticePath
     suffix: LatticePath
 
     def reassemble(self) -> LatticePath:
         return LatticePath(
-            self.prefix.steps + (UP,) + self.inner.steps + (DOWN,) + self.suffix.steps
+            self.prefix.steps
+            + (self.sign,)
+            + self.inner.steps
+            + (-self.sign,)
+            + self.suffix.steps
         )
 
 
-@dataclass(frozen=True)
-class NegativeFactorization:
-    """original = prefix + D + inner + U + suffix, around the last negative prime.
-
-    ``inner`` is a negative Dyck path; ``suffix`` is a Dyck path.
-    """
-
-    prefix: LatticePath
-    inner: LatticePath
-    suffix: LatticePath
-
-    def reassemble(self) -> LatticePath:
-        return LatticePath(
-            self.prefix.steps + (DOWN,) + self.inner.steps + (UP,) + self.suffix.steps
-        )
-
-
-def _concat_bodies(primes) -> LatticePath:
-    steps: tuple[int, ...] = ()
-    for prime in primes:
-        steps += prime.body.steps
-    return LatticePath(steps)
-
-
-def factor_last_positive_prime(path: LatticePath) -> PositiveFactorization:
-    """Unique factorization around the last positive prime excursion."""
-    primes = factor_primes(path).primes
-    last = None
-    for idx in range(len(primes) - 1, -1, -1):
-        if primes[idx].sign == UP:
-            last = idx
-            break
-    if last is None:
+def _last_prime(path: LatticePath, sign: int) -> tuple[int, int]:
+    """Index range [start, end) of the last prime whose first step is `sign`."""
+    ends = factor_primes(path)
+    steps = path.steps
+    for j in range(len(ends) - 1, -1, -1):
+        start = ends[j - 1] if j else 0
+        if steps[start] == sign:
+            return start, ends[j]
+    if sign == UP:
         raise NoPositivePrime("no positive prime")
-    body = primes[last].body
-    factorization = PositiveFactorization(
-        prefix=_concat_bodies(primes[:last]),
-        inner=LatticePath(body.steps[1:-1]),
-        suffix=_concat_bodies(primes[last + 1 :]),
+    raise NoNegativePrime("no negative prime")
+
+
+def _factor_last_prime(path: LatticePath, sign: int) -> Factorization:
+    start, end = _last_prime(path, sign)
+    steps = path.steps
+    return Factorization(
+        sign,
+        prefix=LatticePath(steps[:start]),
+        inner=LatticePath(steps[start + 1 : end - 1]),
+        suffix=LatticePath(steps[end:]),
     )
-    # forced by "last": everything after the prime lies on or below the axis
-    assert 2 * negativity(factorization.suffix) == len(factorization.suffix)
-    return factorization
 
 
-def factor_last_negative_prime(path: LatticePath) -> NegativeFactorization:
+def factor_last_positive_prime(path: LatticePath) -> Factorization:
+    """Unique factorization around the last positive prime excursion."""
+    return _factor_last_prime(path, UP)
+
+
+def factor_last_negative_prime(path: LatticePath) -> Factorization:
     """Unique factorization around the last negative prime excursion."""
-    primes = factor_primes(path).primes
-    last = None
-    for idx in range(len(primes) - 1, -1, -1):
-        if primes[idx].sign == DOWN:
-            last = idx
-            break
-    if last is None:
-        raise NoNegativePrime("no negative prime")
-    body = primes[last].body
-    factorization = NegativeFactorization(
-        prefix=_concat_bodies(primes[:last]),
-        inner=LatticePath(body.steps[1:-1]),
-        suffix=_concat_bodies(primes[last + 1 :]),
+    return _factor_last_prime(path, DOWN)
+
+
+def _move_last_prime(path: LatticePath, sign: int) -> LatticePath:
+    """prefix + s + inner + (-s) + suffix  ->  prefix + (-s) + suffix + s + inner."""
+    start, end = _last_prime(path, sign)
+    steps = path.steps
+    return LatticePath(
+        steps[:start] + (-sign,) + steps[end:] + (sign,) + steps[start + 1 : end - 1]
     )
-    assert negativity(factorization.suffix) == 0
-    return factorization
 
 
 def phi_plus(path: LatticePath) -> LatticePath:
     """Raise negativity by one: prefix+U+inner+D+suffix -> prefix+D+suffix+U+inner."""
-    f = factor_last_positive_prime(path)
-    return LatticePath(
-        f.prefix.steps + (DOWN,) + f.suffix.steps + (UP,) + f.inner.steps
-    )
+    return _move_last_prime(path, UP)
 
 
 def phi_minus(path: LatticePath) -> LatticePath:
     """Lower negativity by one; exact inverse of phi_plus."""
-    f = factor_last_negative_prime(path)
-    return LatticePath(
-        f.prefix.steps + (UP,) + f.suffix.steps + (DOWN,) + f.inner.steps
-    )
+    return _move_last_prime(path, DOWN)
 
 
 def lift(path: LatticePath, k: int) -> LatticePath:

@@ -71,6 +71,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # raises BoundExceeded now, before the series and the smaller n are computed
+    counting.enumerate_balanced(args.max_n)
     table_series = series.n_series(args.max_n)
     results = []
     for n in range(args.max_n + 1):

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import IndexOutOfRange, InvalidCharacter, NonPositiveSum, NonUnitSum
+from .errors import IndexOutOfRange, NonPositiveSum, NonUnitSum
+from .paths import _freeze_steps, parse, render
 
-_TERM_OF_CHAR = {"+": 1, "-": -1}
-_CHAR_OF_TERM = {1: "+", -1: "-"}
+_SEQUENCE_ALPHABET = "+-"
 
 # rank sequence m_0..m_L: a permutation of {0..L}
 RankOrder = tuple[int, ...]
@@ -45,12 +45,7 @@ class CyclicSequence:
     terms: tuple[int, ...] = ()
 
     def __post_init__(self):
-        terms = self.terms
-        if not isinstance(terms, tuple):
-            terms = tuple(terms)
-            object.__setattr__(self, "terms", terms)
-        if terms.count(1) + terms.count(-1) != len(terms):
-            raise ValueError("terms must all be +1 or -1")
+        _freeze_steps(self, "terms")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -70,17 +65,11 @@ class CyclicSequence:
 
 def parse_sequence(text: str) -> CyclicSequence:
     """Parse a '+'/'-' string; raises InvalidCharacter for anything else."""
-    terms = []
-    for i, char in enumerate(text):
-        term = _TERM_OF_CHAR.get(char)
-        if term is None:
-            raise InvalidCharacter(i, char)
-        terms.append(term)
-    return CyclicSequence(tuple(terms))
+    return CyclicSequence(parse(text, _SEQUENCE_ALPHABET))
 
 
 def render_sequence(seq: CyclicSequence) -> str:
-    return "".join(_CHAR_OF_TERM[term] for term in seq.terms)
+    return render(seq.terms, _SEQUENCE_ALPHABET)
 
 
 def partial_sums(seq: CyclicSequence) -> list[int]:

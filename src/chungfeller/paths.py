@@ -12,6 +12,9 @@ exactly the balanced paths with k = 0.
 Every balanced path factors uniquely into *signed primes*: maximal
 excursions that touch height 0 only at their endpoints, positive ones
 strictly above the axis internally, negative ones strictly below.
+factor_primes returns them as index ranges over the steps tuple: prime j
+is steps[e_{j-1}:e_j], where e_1 < ... < e_r are the returns to height 0
+and e_0 = 0, and its sign is its first step.
 
 The text form of a path is a string over 'U' (up) and 'D' (down).
 """
@@ -26,8 +29,35 @@ from .errors import InvalidCharacter, NotBalanced
 UP = 1
 DOWN = -1
 
-_STEP_OF_CHAR = {"U": UP, "D": DOWN}
-_CHAR_OF_STEP = {UP: "U", DOWN: "D"}
+_PATH_ALPHABET = "UD"
+
+
+def _freeze_steps(owner, field: str) -> None:
+    """Store owner.<field> as a tuple; ValueError unless every entry is +1 or -1."""
+    values = getattr(owner, field)
+    if not isinstance(values, tuple):
+        values = tuple(values)
+        object.__setattr__(owner, field, values)
+    if values.count(UP) + values.count(DOWN) != len(values):
+        raise ValueError(f"{field} must all be +1 or -1")
+
+
+def parse(text: str, alphabet: str) -> tuple[int, ...]:
+    """Steps of a string over alphabet = up char + down char; else InvalidCharacter."""
+    step_of = {alphabet[0]: UP, alphabet[1]: DOWN}
+    steps = []
+    for i, char in enumerate(text):
+        step = step_of.get(char)
+        if step is None:
+            raise InvalidCharacter(i, char)
+        steps.append(step)
+    return tuple(steps)
+
+
+def render(steps: tuple[int, ...], alphabet: str) -> str:
+    """Exact inverse of parse."""
+    char_of = {UP: alphabet[0], DOWN: alphabet[1]}
+    return "".join(char_of[step] for step in steps)
 
 
 @dataclass(frozen=True)
@@ -37,12 +67,7 @@ class LatticePath:
     steps: tuple[int, ...] = ()
 
     def __post_init__(self):
-        steps = self.steps
-        if not isinstance(steps, tuple):
-            steps = tuple(steps)
-            object.__setattr__(self, "steps", steps)
-        if steps.count(UP) + steps.count(DOWN) != len(steps):
-            raise ValueError("steps must all be +1 or -1")
+        _freeze_steps(self, "steps")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -76,9 +101,6 @@ class LatticePath:
         return len(self.steps) // 2
 
 
-EMPTY_PATH = LatticePath()
-
-
 @dataclass(frozen=True)
 class PathClass:
     """The class (n, k): balanced paths of length 2n with negativity k."""
@@ -102,47 +124,14 @@ class PathClass:
         )
 
 
-@dataclass(frozen=True)
-class SignedPrime:
-    """One prime excursion together with its sign (+1 above, -1 below)."""
-
-    sign: int
-    body: LatticePath
-
-
-@dataclass(frozen=True)
-class PrimeFactorization:
-    """Ordered signed primes whose concatenation is the original path."""
-
-    primes: tuple[SignedPrime, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def concatenated(self) -> LatticePath:
-        steps: tuple[int, ...] = ()
-        for prime in self.primes:
-            steps += prime.body.steps
-        return LatticePath(steps)
-
-
 def parse_path(text: str) -> LatticePath:
     """Parse a 'U'/'D' string; raises InvalidCharacter for anything else."""
-    steps = []
-    for i, char in enumerate(text):
-        step = _STEP_OF_CHAR.get(char)
-        if step is None:
-            raise InvalidCharacter(i, char)
-        steps.append(step)
-    return LatticePath(tuple(steps))
+    return LatticePath(parse(text, _PATH_ALPHABET))
 
 
 def render_path(path: LatticePath) -> str:
     """Exact inverse of parse_path."""
-    return "".join(_CHAR_OF_STEP[step] for step in path.steps)
+    return render(path.steps, _PATH_ALPHABET)
 
 
 def heights(path: LatticePath) -> list[int]:
@@ -171,22 +160,19 @@ def negativity(path: LatticePath) -> int:
     return below // 2
 
 
-def factor_primes(path: LatticePath) -> PrimeFactorization:
-    """Split a balanced path at every return to height 0."""
+def factor_primes(path: LatticePath) -> tuple[int, ...]:
+    """The prime ends of a balanced path: every i >= 1 with height h(i) = 0.
+
+    Prime j spans steps[e_{j-1}:e_j], with e_0 = 0; its first step is its
+    sign.  The empty path has no primes.
+    """
     if not path.is_balanced:
         raise NotBalanced(
             f"path has {path.up_count} up and {path.down_count} down steps"
         )
-    primes = []
-    h = 0
-    start = 0
-    for i, step in enumerate(path.steps, start=1):
-        h += step
-        if h == 0:
-            body = LatticePath(path.steps[start:i])
-            primes.append(SignedPrime(body.steps[0], body))
-            start = i
-    return PrimeFactorization(tuple(primes))
+    # a list comprehension: tuple(<generator>) here raised the peak RSS of
+    # `sample --k` by about 1 MB on CPython 3.11
+    return tuple([i for i, h in enumerate(accumulate(path.steps), start=1) if h == 0])
 
 
 def is_dyck(path: LatticePath) -> bool:

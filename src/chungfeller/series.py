@@ -70,6 +70,7 @@ class BivariateSeries:
         return BivariateSeries(self.order, _freeze(rows))
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
+        """Cauchy product truncated at the common order."""
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         if self.order != other.order:
@@ -104,11 +105,6 @@ def one(order: int) -> BivariateSeries:
     rows = _zero_rows(order)
     rows[0][0] = 1
     return BivariateSeries(order, _freeze(rows))
-
-
-def multiply(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
-    """Cauchy product truncated at the common order."""
-    return a * b
 
 
 def catalan_series(order: int) -> BivariateSeries:

@@ -3,10 +3,13 @@
 import pytest
 
 from chungfeller import (
+    DOWN,
+    UP,
     IndexOutOfRange,
     NoNegativePrime,
     NoPositivePrime,
     NotDyckPath,
+    enumerate_balanced,
     factor_last_negative_prime,
     factor_last_positive_prime,
     lift,
@@ -60,6 +63,30 @@ class TestNegativeFactorization:
     def test_no_negative_prime(self):
         with pytest.raises(NoNegativePrime):
             factor_last_negative_prime(parse_path("UUDD"))
+
+
+def _is_negative_dyck(path):
+    return 2 * negativity(path) == len(path)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_split_shapes(n):
+    # forced by "last": after the last positive prime every prime is
+    # negative, and after the last negative prime every prime is positive
+    for path in enumerate_balanced(n):
+        k = negativity(path)
+        if k < n:
+            f = factor_last_positive_prime(path)
+            assert f.sign == UP
+            assert negativity(f.inner) == 0
+            assert _is_negative_dyck(f.suffix)
+            assert f.reassemble() == path
+        if k > 0:
+            f = factor_last_negative_prime(path)
+            assert f.sign == DOWN
+            assert _is_negative_dyck(f.inner)
+            assert negativity(f.suffix) == 0
+            assert f.reassemble() == path
 
 
 class TestPhiMaps:

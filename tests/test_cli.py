@@ -109,6 +109,16 @@ class TestVerify:
         assert code == 1
         assert "2\tFAIL" in out
 
+    def test_bound_checked_before_any_work(self, capsys, monkeypatch):
+        def unreachable(order):
+            raise AssertionError("series built before the bound check")
+
+        monkeypatch.setattr(series, "n_series", unreachable)
+        code, out, err = run_cli(capsys, "verify", "--max-n", "13")
+        assert code == 1
+        assert out == ""
+        assert "enumeration bound" in err
+
 
 class TestPhi:
     def test_up_bytes(self, capsys):
@@ -137,6 +147,21 @@ class TestPhi:
         assert out == "DUUD\t1\nDUDU\t2\n"
         assert "2 of 3 applications succeeded" in err
 
+    def test_multi_prime_bytes(self, capsys):
+        # ten primes, several of each sign
+        code, out, _ = run_cli(
+            capsys, "phi", "--dir", "up", "--times", "5",
+            "--path", "UUDDDUUDUUDUDDDDUUUUDDUDDUUDUD",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "UUDDDUUDUUDUDDDDUUUUDDUDDUUDDU\t5",
+            "UUDDDUUDUUDUDDDDUUUUDDUDDUDDUU\t6",
+            "UUDDDUUDUUDUDDDDUUUUDDDDUDDUUU\t7",
+            "UUDDDUUDUUDUDDDDUUDDDUDDUUUUUD\t8",
+            "UUDDDUUDUUDUDDDDUUDDDUDDUUUUDU\t9",
+        ]
+
     def test_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "phi", "--dir", "up", "--path", "UUDD", "--format", "json"
@@ -164,6 +189,20 @@ class TestCycle:
             "ranks\t1 2 0 3",
             "dominating\t1",
             "canonical\t1\t++-",
+        ]
+
+    def test_long_unit_sum_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cycle", "--seq=-----++-++-+--+++++-+-----++++++---++--++"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "sums\t0 -1 -2 -3 -4 -5 -4 -3 -4 -3 -2 -3 -2 -3 -4 -3 -2 -1 0 1 0 1 0"
+            " -1 -2 -3 -4 -3 -2 -1 0 1 2 1 0 -1 0 1 0 -1 0 1",
+            "ranks\t5 26 14 8 6 4 27 25 15 13 11 9 7 3 28 24 16 12 10 2 39 35 29"
+            " 23 17 1 40 38 36 34 30 22 20 18 0 41 37 33 31 21 19 32",
+            "dominating\t5",
+            "canonical\t5\t++-++-+--+++++-+-----++++++---++--++-----",
         ]
 
     def test_zero_sum_prints_defined_parts(self, capsys):
@@ -239,6 +278,21 @@ class TestSample:
         assert code == 0
         assert out.splitlines() == ["UDDDUU", "DUDUUD", "DUUDDU"]
 
+    def test_k_class_multi_prime(self, capsys):
+        # the same seed must keep giving the same splitmix64 stream and lift
+        code, out, _ = run_cli(
+            capsys,
+            "sample", "--n", "40", "--k", "17", "--count", "5", "--seed", "2026",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "UDDDUUUDDDDDUDUDUUDDUUUUDUUUDUUDUUUDUUDUDDUDDDDUUUUUDDUDUDDDDDDDUDUUUDDDUUDUUDUD",
+            "UUDDDDDDUUUDUDUDDDDUUUDDUUUDUUUDUUDUUUUDDDUDUUUUUUDUDDUDDDDUDDDUUDDUUDDDDDUUDUDU",
+            "DUUUUDDDDDUDUUDDUUDUDUDUUDDUDUUDUDDUDUUDDDUUUUDDUUDUUDUUDDDUDDDDUUUDUUUDDUUUDDDD",
+            "UDUUUDDUUUUDUDDDUDUUDUUDDDDUUDUDUUUDDUDDDUUDDDDDUDUUDUDUDUDDUDDDUUDDUDDUUUUUDDUU",
+            "UUUUUDDUDUDDDUUUDDUUDUDUDDDUDDDDUDDUUDDUDUDUDUDDUDUUUUUDUUDDUDDDUUDUUDUDDUDUUDUD",
+        ]
+
     def test_json_mirror(self, capsys):
         _, text_out, _ = run_cli(
             capsys, "sample", "--n", "2", "--count", "4", "--seed", "9"
@@ -278,6 +332,30 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-n", "5"],
+        ["sample", "--n", "30", "--k", "11", "--count", "3", "--seed", "1"],
+        ["phi", "--dir", "down", "--times", "3", "--path", "DUDDUUUD"],
+        ["cycle", "--seq=-+-++++-+"],
+    ],
+)
+def test_optimized_interpreter_prints_the_same(argv):
+    # python -O strips assert statements; no output may depend on them
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "chungfeller", *argv],
+            capture_output=True,
+            text=True,
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout
+    assert optimized.stdout == plain.stdout
 
 
 def test_module_entry_point():

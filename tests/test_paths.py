@@ -87,20 +87,31 @@ class TestNegativity:
             assert 2 * negativity(path) == len(_below_axis_steps(text))
 
 
+def _primes(path):
+    # (sign, body) of each prime, read off the ends factor_primes returns
+    ends = factor_primes(path)
+    starts = (0,) + ends[:-1]
+    return [(path.steps[a], LatticePath(path.steps[a:b])) for a, b in zip(starts, ends)]
+
+
 class TestFactorPrimes:
     def test_mixed(self):
-        factors = factor_primes(parse_path("UDDU"))
-        assert [(p.sign, render_path(p.body)) for p in factors] == [
+        path = parse_path("UDDU")
+        assert factor_primes(path) == (2, 4)
+        assert [(sign, render_path(body)) for sign, body in _primes(path)] == [
             (UP, "UD"),
             (DOWN, "DU"),
         ]
 
     def test_single_excursion(self):
-        factors = factor_primes(parse_path("UUDD"))
-        assert [(p.sign, render_path(p.body)) for p in factors] == [(UP, "UUDD")]
+        path = parse_path("UUDD")
+        assert factor_primes(path) == (4,)
+        assert [(sign, render_path(body)) for sign, body in _primes(path)] == [
+            (UP, "UUDD")
+        ]
 
     def test_empty(self):
-        assert factor_primes(LatticePath()).primes == ()
+        assert factor_primes(LatticePath()) == ()
 
     def test_not_balanced(self):
         with pytest.raises(NotBalanced):
@@ -130,21 +141,21 @@ class TestPathClass:
 
 @pytest.mark.parametrize("n", range(9))
 def test_exhaustive_invariants(n):
-    # below-axis count even; factorization concatenates back; negativity
-    # is the total half-length of the negative primes
+    # below-axis count even; prime ends are exactly the returns to height
+    # 0; negativity is the total half-length of the negative primes
     for path in enumerate_balanced(n):
         below = _below_axis_steps(render_path(path))
         assert len(below) % 2 == 0
-        factors = factor_primes(path)
-        assert factors.concatenated() == path
-        neg_prime_halves = sum(
-            p.body.half_length for p in factors if p.sign == DOWN
-        )
+        hs = heights(path)
+        assert factor_primes(path) == tuple(i for i in range(1, len(hs)) if hs[i] == 0)
+        primes = _primes(path)
+        neg_prime_halves = sum(body.half_length for sign, body in primes if sign == DOWN)
         assert negativity(path) == neg_prime_halves
-        # each signed prime stays strictly on its side between its endpoints
-        for prime in factors:
-            internal = heights(prime.body)[1:-1]
-            if prime.sign == UP:
+        # each prime stays strictly on the side of its first step between
+        # its endpoints
+        for sign, body in primes:
+            internal = heights(body)[1:-1]
+            if sign == UP:
                 assert all(h > 0 for h in internal)
             else:
                 assert all(h < 0 for h in internal)

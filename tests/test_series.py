@@ -13,7 +13,6 @@ from chungfeller import (
     catalan_series,
     central_binomial,
     geometric_inverse,
-    multiply,
     n_series,
     partition_by_negativity,
     prime_series_neg,
@@ -72,7 +71,8 @@ class TestPrimeSeries:
 class TestArithmetic:
     def test_multiplicative_identity(self):
         c = catalan_series(6)
-        assert multiply(c, one(6)) == c
+        assert c * one(6) == c
+        assert one(6) * c == c
 
     def test_x_squared(self):
         x = _build(3, {(1, 0): 1})
@@ -85,7 +85,7 @@ class TestArithmetic:
 
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatch):
-            multiply(one(3), one(4))
+            one(3) * one(4)
         with pytest.raises(OrderMismatch):
             one(3) + one(4)
 
