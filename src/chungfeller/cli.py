@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from . import counting, cycle, series
 from .bijection import phi_minus, phi_plus
 from .counting import CountTable
-from .errors import ChungFellerError, NoNegativePrime, NoPositivePrime
+from .errors import ChungFellerError, IndexOutOfRange, NoNegativePrime, NoPositivePrime
 from .paths import negativity, parse_path, render_path
 from .sampler import RandomSource, sample_dyck, sample_k_negative
 
@@ -163,6 +163,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.k is not None and not 0 <= args.k <= args.n:
+        raise IndexOutOfRange(f"require 0 <= k <= n, got n={args.n}, k={args.k}")
     rng = RandomSource(args.seed)
     paths = []
     for _ in range(args.count):

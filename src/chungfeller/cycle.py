@@ -16,9 +16,13 @@ an original position p they equal
     s(p) - s(j)        for j <= p <= L,
     s(p) - s(j) + k    for 0 <= p < j.
 
-For k = 1 the rotation at shift m_0 (mod L) is the unique one with all
-proper prefix sums positive, and the m_i-th rotation has exactly i+1
-nonpositive prefix sums -- the positions m_0..m_i themselves.
+The rotation at shift j, 0 <= j < L, is *dominating* (every prefix sum
+>= 1) iff s(p) > s(j) for j < p <= L and s(p) > s(j) - k for 0 <= p < j:
+j is the walk's last visit to its level, and that level lies in
+low..low+k-1, where low = min(s).  The walk visits each of these k
+levels, so there are exactly k dominating shifts.  For k = 1 the shift
+is m_0 (mod L), and the m_i-th rotation has exactly i+1 nonpositive
+prefix sums -- the positions m_0..m_i themselves.
 
 Sequences render as strings over '+' and '-'.
 """
@@ -115,32 +119,19 @@ def shifted_partial_sum(seq: CyclicSequence, j: int, p: int) -> int:
     return s[p] - s[j] + s[-1]
 
 
-def _all_prefixes_positive(terms: tuple[int, ...]) -> bool:
-    height = 0
-    for term in terms:
-        height += term
-        if height < 1:
-            return False
-    return True
-
-
 def dominating_shifts(seq: CyclicSequence) -> tuple[int, ...]:
     """All shifts whose rotation has every proper prefix sum >= 1.
 
-    Computed by direct rotation; the Cycle Lemma says there are exactly
-    k of them, which is asserted rather than assumed.
+    They are the last positions at which s takes the levels low..low+k-1,
+    low = min(s) (see the module docstring), in increasing order: the step
+    after the last visit to a level v reaches v+1.
     """
     k = seq.total
     if k <= 0:
         raise NonPositiveSum(f"sequence sum must be positive, got {k}")
-    terms = seq.terms
-    shifts = tuple(
-        i
-        for i in range(len(terms))
-        if _all_prefixes_positive(terms[i:] + terms[:i])
-    )
-    assert len(shifts) == k
-    return shifts
+    last = {height: p for p, height in enumerate(seq._sums)}
+    low = min(seq._sums)
+    return tuple(last[v] for v in range(low, low + k))
 
 
 def nonpositive_count_at_rank(seq: CyclicSequence, i: int) -> int:

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 
-from itertools import product
+from itertools import accumulate, product
 
 
 def chi_square(observed, classes, draws):
@@ -12,3 +12,18 @@ def chi_square(observed, classes, draws):
 def all_pm1_sequences(length):
     """Every +-1 tuple of the given length."""
     return product((1, -1), repeat=length)
+
+
+def rotation_prefix_sums(terms, j):
+    """Prefix sums of the j-th rotation, built and summed directly."""
+    return list(accumulate(terms[j:] + terms[:j], initial=0))
+
+
+def dominating_shifts_by_rotation(terms):
+    """Cycle Lemma oracle: shifts whose rotation has every prefix sum >= 1.
+
+    Tests each rotation directly, independently of the rule in cycle.
+    """
+    return tuple(
+        j for j in range(len(terms)) if min(rotation_prefix_sums(terms, j)[1:]) >= 1
+    )

@@ -33,7 +33,7 @@ from chungfeller import (
     sample_dyck,
     sample_k_negative,
 )
-from support import all_pm1_sequences, chi_square
+from support import all_pm1_sequences, chi_square, dominating_shifts_by_rotation
 
 # 0.999 chi-square quantiles
 CHI2_13DF = 34.53
@@ -104,7 +104,9 @@ def test_criterion_5_cycle_lemma():
                     continue
                 seq = CyclicSequence(terms)
                 shifts = dominating_shifts(seq)
-                assert len(shifts) == k
+                oracle = dominating_shifts_by_rotation(terms)
+                assert shifts == oracle
+                assert len(oracle) == k
                 if k == 1:
                     shift, _ = canonical_rotation(seq)
                     assert shifts == (shift,)

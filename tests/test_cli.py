@@ -1,8 +1,10 @@
 """CLI contract: output formats, exit codes, and fault detection."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,12 +307,16 @@ class TestSample:
         assert code == 0
         assert json.loads(json_out)["paths"] == text_out.splitlines()
 
-    def test_k_out_of_range_is_domain_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sample", "--n", "3", "--k", "5", "--count", "1", "--seed", "0"
+    @pytest.mark.parametrize("count", ["0", "1"])
+    @pytest.mark.parametrize("k", ["9", "-1"])
+    def test_k_out_of_range_is_domain_error(self, capsys, k, count):
+        # the class is checked even when no path is drawn
+        code, out, err = run_cli(
+            capsys, "sample", "--n", "3", "--k", k, "--count", count, "--seed", "1"
         )
         assert code == 1
-        assert "error:" in err
+        assert out == ""
+        assert err == f"error: require 0 <= k <= n, got n=3, k={k}\n"
 
 
 class TestUsageErrors:
@@ -356,6 +362,18 @@ def test_optimized_interpreter_prints_the_same(argv):
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout
     assert optimized.stdout == plain.stdout
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so no invariant may live in one
+    package = Path(cli.__file__).parent
+    asserts = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(), filename=str(source)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_module_entry_point():

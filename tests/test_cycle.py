@@ -1,7 +1,7 @@
 """Cycle Lemma: the position order, rotation prefix sums, dominating shifts."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chungfeller import (
@@ -21,18 +21,28 @@ from chungfeller import (
     rotate,
     shifted_partial_sum,
 )
-from support import all_pm1_sequences
+from support import (
+    all_pm1_sequences,
+    dominating_shifts_by_rotation,
+    rotation_prefix_sums,
+)
 
 pm_terms = st.lists(st.sampled_from((1, -1)), max_size=12).map(tuple)
 
 
-def _rotation_prefix_sums(terms, j):
-    # independent oracle: prefix sums of the rotation, computed directly
-    rotated = terms[j:] + terms[:j]
-    sums = [0]
-    for term in rotated:
-        sums.append(sums[-1] + term)
-    return sums
+@st.composite
+def positive_sum_terms(draw, max_length=300):
+    """+-1 tuples of length 1..max_length with any positive sum."""
+    length = draw(st.integers(1, max_length))
+    ups = draw(st.integers(length // 2 + 1, length))
+    return tuple(draw(st.permutations([1] * ups + [-1] * (length - ups))))
+
+
+@st.composite
+def unit_sum_terms(draw, max_length=300):
+    """+-1 tuples of odd length 1..max_length with sum 1."""
+    n = draw(st.integers(0, (max_length - 1) // 2))
+    return tuple(draw(st.permutations([1] * (n + 1) + [-1] * n)))
 
 
 class TestParse:
@@ -133,7 +143,7 @@ class TestShiftedPartialSum:
     def test_wrapped_position(self):
         # formula and direct rotation agree: s(0) - s(1) + k = 2
         seq = CyclicSequence((-1, 1, 1))
-        oracle = _rotation_prefix_sums(seq.terms, 1)
+        oracle = rotation_prefix_sums(seq.terms, 1)
         assert shifted_partial_sum(seq, 1, 0) == oracle[3 - 1 + 0] == 2
 
     def test_at_own_shift(self):
@@ -148,7 +158,7 @@ class TestShiftedPartialSum:
             for terms in all_pm1_sequences(length):
                 seq = CyclicSequence(terms)
                 for j in range(length + 1):
-                    oracle = _rotation_prefix_sums(terms, j % length if length else 0)
+                    oracle = rotation_prefix_sums(terms, j % length if length else 0)
                     for p in range(length + 1):
                         offset = p - j if j <= p else p - j + length
                         assert shifted_partial_sum(seq, j, p) == oracle[offset]
@@ -172,7 +182,16 @@ class TestDominatingShifts:
             for terms in all_pm1_sequences(length):
                 k = sum(terms)
                 if k >= 1:
-                    assert len(dominating_shifts(CyclicSequence(terms))) == k
+                    oracle = dominating_shifts_by_rotation(terms)
+                    assert dominating_shifts(CyclicSequence(terms)) == oracle
+                    assert len(oracle) == k
+
+    @settings(deadline=None, max_examples=40)
+    @given(positive_sum_terms())
+    def test_matches_rotation_oracle_long(self, terms):
+        oracle = dominating_shifts_by_rotation(terms)
+        assert dominating_shifts(CyclicSequence(terms)) == oracle
+        assert len(oracle) == sum(terms)
 
 
 class TestNonpositiveCount:
@@ -226,6 +245,12 @@ class TestCanonicalRotation:
                 seq = CyclicSequence(terms)
                 shift, _ = canonical_rotation(seq)
                 assert shift == rank_order(seq)[0] % length
+
+    @settings(deadline=None, max_examples=100)
+    @given(unit_sum_terms())
+    def test_shift_is_first_rank_mod_length_long(self, terms):
+        seq = CyclicSequence(terms)
+        assert canonical_rotation(seq)[0] == rank_order(seq)[0] % len(terms)
 
 
 class TestRotate:

@@ -1,7 +1,7 @@
 """Path primitives: parsing, heights, negativity, prime factorization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chungfeller import (
@@ -11,13 +11,18 @@ from chungfeller import (
     LatticePath,
     NotBalanced,
     PathClass,
+    RandomSource,
     enumerate_balanced,
     factor_primes,
     heights,
     is_dyck,
+    lift,
     negativity,
     parse_path,
+    phi_minus,
+    phi_plus,
     render_path,
+    sample_dyck,
 )
 
 ud_text = st.text(alphabet="UD", max_size=16)
@@ -173,3 +178,19 @@ def test_up_steps_below_axis_equals_negativity():
                 if step == UP and hs[i] <= -1
             )
             assert ups_below == negativity(path)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(0, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.integers(0, 2**64 - 1),
+)
+def test_invariants_past_the_enumeration_bound(n_k, seed):
+    # lifted uniform Dyck paths with n up to 500, far past enumeration
+    n, k = n_k
+    path = lift(sample_dyck(n, RandomSource(seed)), k)
+    assert len(_below_axis_steps(render_path(path))) == 2 * negativity(path) == 2 * k
+    if k < n:
+        assert phi_minus(phi_plus(path)) == path
+    if k > 0:
+        assert phi_plus(phi_minus(path)) == path
