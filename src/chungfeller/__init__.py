@@ -19,7 +19,6 @@ from .bijection import (
 )
 from .counting import (
     DEFAULT_ENUMERATION_BOUND,
-    CountTable,
     catalan,
     central_binomial,
     count_recurrence,

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, NoNegativePrime, NoPositivePrime, NotDyckPath
-from .paths import DOWN, UP, LatticePath, factor_primes, is_dyck
+from .errors import NoNegativePrime, NoPositivePrime, NotDyckPath
+from .paths import DOWN, UP, LatticePath, check_class, factor_primes, is_dyck
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,7 @@ def lift(path: LatticePath, k: int) -> LatticePath:
     """k-fold phi_plus: carries a Dyck path to class (n, k) bijectively."""
     if not is_dyck(path):
         raise NotDyckPath("lift requires a Dyck path")
-    if not 0 <= k <= path.half_length:
-        raise IndexOutOfRange(
-            f"target negativity must be in 0..{path.half_length}, got {k}"
-        )
+    check_class(path.half_length, k)
     lifted = path
     for _ in range(k):
         lifted = phi_plus(lifted)

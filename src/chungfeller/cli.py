@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Sequence
 
 from . import counting, cycle, series
 from .bijection import phi_minus, phi_plus
-from .counting import CountTable
-from .errors import ChungFellerError, IndexOutOfRange, NoNegativePrime, NoPositivePrime
-from .paths import negativity, parse_path, render_path
+from .errors import ChungFellerError, NoNegativePrime, NoPositivePrime
+from .paths import check_class, negativity, parse_path, render_path
 from .sampler import RandomSource, sample_dyck, sample_k_negative
 
 
@@ -51,21 +49,15 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    table = CountTable(
-        args.n, {k: counting.count_recurrence(args.n, k) for k in range(args.n + 1)}
-    )
-    if args.brute_force:
-        oracle = counting.partition_by_negativity(args.n)
-        if oracle.counts != table.counts:
-            print(
-                f"error: recurrence disagrees with brute force at n={args.n}",
-                file=sys.stderr,
-            )
-            return 1
+    # enumerate first: past the bound this fails before the recurrence runs
+    oracle = counting.partition_by_negativity(args.n) if args.brute_force else None
+    counts = {k: counting.count_recurrence(args.n, k) for k in range(args.n + 1)}
+    if oracle is not None and oracle != counts:
+        raise ChungFellerError(f"recurrence disagrees with brute force at n={args.n}")
     _emit(
         args,
-        table.to_lines(),
-        {"counts": {str(k): table.counts[k] for k in sorted(table.counts)}},
+        [f"{k}\t{count}" for k, count in counts.items()],
+        {"counts": {str(k): count for k, count in counts.items()}},
     )
     return 0
 
@@ -77,13 +69,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = []
     for n in range(args.max_n + 1):
         reference = counting.catalan(n)
-        closed_form = math.comb(2 * n, n) // (n + 1)
+        total = counting.central_binomial(n)
         brute = counting.partition_by_negativity(n)
         ok = (
-            reference == closed_form
-            and brute.total() == math.comb(2 * n, n)
+            reference == total // (n + 1)
+            and sum(brute.values()) == total
             and all(
-                brute.counts[k] == reference
+                brute[k] == reference
                 and counting.count_recurrence(n, k) == reference
                 and table_series.coefficient(n, k) == reference
                 for k in range(n + 1)
@@ -148,23 +140,18 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     table = series.n_series(args.order)
-    _emit(
-        args,
-        table.to_lines(),
-        {
-            "terms": [
-                [n, k, value]
-                for n, row in enumerate(table.coeffs)
-                for k, value in enumerate(row)
-            ]
-        },
-    )
+    terms = [
+        [n, k, value]
+        for n, row in enumerate(table.coeffs)
+        for k, value in enumerate(row)
+    ]
+    _emit(args, [f"{n}\t{k}\t{value}" for n, k, value in terms], {"terms": terms})
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.k is not None and not 0 <= args.k <= args.n:
-        raise IndexOutOfRange(f"require 0 <= k <= n, got n={args.n}, k={args.k}")
+    if args.k is not None:
+        check_class(args.n, args.k)
     rng = RandomSource(args.seed)
     paths = []
     for _ in range(args.count):

@@ -12,11 +12,12 @@ built-in assumption.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import BoundExceeded, IndexOutOfRange
-from .paths import DOWN, UP, LatticePath, negativity
+from .paths import DOWN, UP, LatticePath, check_class, negativity
 
 # C(24,12) = 2,704,156 paths; enumeration above this is almost certainly
 # a mistake, so it must be requested explicitly via `bound`.
@@ -24,24 +25,6 @@ DEFAULT_ENUMERATION_BOUND = 12
 
 _catalan_table: list[int] = [1]
 _recurrence_rows: list[list[int]] = [[1]]
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts of the classes (n, 0) .. (n, n)."""
-
-    n: int
-    counts: dict[int, int]
-
-    def __getitem__(self, k: int) -> int:
-        return self.counts[k]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def to_lines(self) -> list[str]:
-        """One "k<TAB>count" line per class, ascending k."""
-        return [f"{k}\t{self.counts[k]}" for k in sorted(self.counts)]
 
 
 def catalan(n: int) -> int:
@@ -70,6 +53,9 @@ def enumerate_balanced(
 ) -> Iterator[LatticePath]:
     """All C(2n,n) balanced paths of length 2n, lexicographic with U < D.
 
+    Each path is one choice of its n up positions, in itertools.combinations
+    order: where two paths first differ, at step i, the one with U there has
+    i where the other has a larger up position, so its tuple comes first.
     Returns a lazy iterator; the bound is checked eagerly.
     """
     if n < 0:
@@ -80,32 +66,19 @@ def enumerate_balanced(
 
 
 def _balanced_paths(n: int) -> Iterator[LatticePath]:
-    steps: list[int] = []
-
-    def extend(ups: int, downs: int) -> Iterator[LatticePath]:
-        if ups == n and downs == n:
-            yield LatticePath(tuple(steps))
-            return
-        if ups < n:
-            steps.append(UP)
-            yield from extend(ups + 1, downs)
-            steps.pop()
-        if downs < n:
-            steps.append(DOWN)
-            yield from extend(ups, downs + 1)
-            steps.pop()
-
-    yield from extend(0, 0)
+    for ups in combinations(range(2 * n), n):
+        steps = [DOWN] * (2 * n)
+        for i in ups:
+            steps[i] = UP
+        yield LatticePath(tuple(steps))
 
 
 def partition_by_negativity(
     n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> CountTable:
-    """Brute-force class sizes |S_0| .. |S_n| for half-length n."""
-    counts = {k: 0 for k in range(n + 1)}
-    for path in enumerate_balanced(n, bound=bound):
-        counts[negativity(path)] += 1
-    return CountTable(n, counts)
+) -> dict[int, int]:
+    """Brute-force class sizes: k -> |S_k| for every k in 0..n, zeros included."""
+    counts = Counter(map(negativity, enumerate_balanced(n, bound=bound)))
+    return {k: counts[k] for k in range(n + 1)}
 
 
 def paths_by_negativity(
@@ -130,8 +103,7 @@ def count_recurrence(n: int, k: int) -> int:
                 + sum_{q=1..k}   C_{q-1} N(n-q, k-q),    N(0, 0) = 1.
     """
     global _recurrence_rows
-    if n < 0 or k < 0 or k > n:
-        raise IndexOutOfRange(f"require 0 <= k <= n, got n={n}, k={k}")
+    check_class(n, k)
     rows = _recurrence_rows
     if len(rows) <= n:
         rows = list(rows)

@@ -32,8 +32,8 @@ class BoundExceeded(ChungFellerError):
     """Requested exhaustive enumeration beyond the configured bound."""
 
 
-class IndexOutOfRange(ChungFellerError):
-    """An index or class parameter lies outside its admissible range."""
+class IndexOutOfRange(ChungFellerError, ValueError):
+    """An index or class parameter outside its admissible range; also a ValueError."""
 
 
 class NoPositivePrime(ChungFellerError):

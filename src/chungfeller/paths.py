@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import InvalidCharacter, NotBalanced
+from .errors import IndexOutOfRange, InvalidCharacter, NotBalanced
 
 UP = 1
 DOWN = -1
@@ -109,8 +109,7 @@ class PathClass:
     k: int
 
     def __post_init__(self):
-        if self.n < 0 or not 0 <= self.k <= self.n:
-            raise ValueError(f"require 0 <= k <= n, got n={self.n}, k={self.k}")
+        check_class(self.n, self.k)
 
     @classmethod
     def of(cls, path: LatticePath) -> "PathClass":
@@ -121,6 +120,19 @@ class PathClass:
             len(path) == 2 * self.n
             and path.is_balanced
             and negativity(path) == self.k
+        )
+
+
+def check_class(n: int, k: int) -> None:
+    """Raise IndexOutOfRange unless (n, k) names a class: 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise IndexOutOfRange(f"require 0 <= k <= n, got n={n}, k={k}")
+
+
+def _check_balanced(path: LatticePath) -> None:
+    if not path.is_balanced:
+        raise NotBalanced(
+            f"path has {path.up_count} up and {path.down_count} down steps"
         )
 
 
@@ -145,10 +157,7 @@ def negativity(path: LatticePath) -> int:
     A step from height a to b is below the axis iff a + b < 0; for a
     balanced path the count is always even.
     """
-    if not path.is_balanced:
-        raise NotBalanced(
-            f"path has {path.up_count} up and {path.down_count} down steps"
-        )
+    _check_balanced(path)
     below = 0
     h = 0
     for step in path.steps:
@@ -165,10 +174,7 @@ def factor_primes(path: LatticePath) -> tuple[int, ...]:
     Prime j spans steps[e_{j-1}:e_j], with e_0 = 0; its first step is its
     sign.  The empty path has no primes.
     """
-    if not path.is_balanced:
-        raise NotBalanced(
-            f"path has {path.up_count} up and {path.down_count} down steps"
-        )
+    _check_balanced(path)
     # a list comprehension: tuple(<generator>) here raised the peak RSS of
     # `sample --k` by about 1 MB on CPython 3.11
     return tuple([i for i, h in enumerate(accumulate(path.steps), start=1) if h == 0])

@@ -18,7 +18,7 @@ from __future__ import annotations
 from .bijection import lift
 from .cycle import CyclicSequence, canonical_rotation
 from .errors import IndexOutOfRange
-from .paths import DOWN, UP, LatticePath
+from .paths import DOWN, UP, LatticePath, check_class
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -80,8 +80,7 @@ def sample_dyck(n: int, rng: RandomSource) -> LatticePath:
 
 def sample_k_negative(n: int, k: int, rng: RandomSource) -> LatticePath:
     """Uniform random path of class (n, k), via the lifting bijection."""
-    if not 0 <= k <= n:
-        raise IndexOutOfRange(f"require 0 <= k <= n, got n={n}, k={k}")
+    check_class(n, k)
     return lift(sample_dyck(n, rng), k)
 
 

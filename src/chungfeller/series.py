@@ -88,14 +88,6 @@ class BivariateSeries:
                             target[k1 + k2] += c1 * c2
         return BivariateSeries(d, _freeze(rows))
 
-    def to_lines(self) -> list[str]:
-        """One "n<TAB>k<TAB>coefficient" line per entry, by n then k."""
-        return [
-            f"{n}\t{k}\t{value}"
-            for n, row in enumerate(self.coeffs)
-            for k, value in enumerate(row)
-        ]
-
 
 def zero(order: int) -> BivariateSeries:
     return BivariateSeries(order, _freeze(_zero_rows(order)))

@@ -56,7 +56,7 @@ def test_criterion_1_equidistribution():
         for n in range(10):
             table = partition_by_negativity(n)
             assert all(table[k] == catalan(n) for k in range(n + 1))
-            assert table.total() == central_binomial(n)
+            assert sum(table.values()) == central_binomial(n)
             assert (n + 1) * catalan(n) == central_binomial(n)
 
 

@@ -143,9 +143,9 @@ class TestLift:
             lift(parse_path("DU"), 1)
 
     def test_rejects_bad_k(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=r"^require 0 <= k <= n, got n=1, k=2$"):
             lift(parse_path("UD"), 2)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=r"^require 0 <= k <= n, got n=1, k=-1$"):
             lift(parse_path("UD"), -1)
 
 

@@ -8,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from chungfeller import BivariateSeries, CountTable, cli, counting, series
+from chungfeller import BivariateSeries, cli, counting, series
+
+# `python -m` imports from the working directory first, so a child process
+# started here runs this copy of the package, installed or not
+PACKAGE_PARENT = Path(cli.__file__).parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -19,9 +23,13 @@ def run_cli(capsys, *argv):
 
 class TestCount:
     def test_text_bytes(self, capsys):
-        code, out, _ = run_cli(capsys, "count", "--n", "3")
-        assert code == 0
-        assert out == "0\t5\n1\t5\n2\t5\n3\t5\n"
+        for argv, expected in [
+            (["--n", "3"], "0\t5\n1\t5\n2\t5\n3\t5\n"),
+            (["--n", "2", "--brute-force"], "0\t2\n1\t2\n2\t2\n"),
+        ]:
+            code, out, _ = run_cli(capsys, "count", *argv)
+            assert code == 0
+            assert out == expected
 
     def test_json_round_trip(self, capsys):
         code, text_out, _ = run_cli(capsys, "count", "--n", "4")
@@ -47,14 +55,25 @@ class TestCount:
             "count_recurrence",
             lambda n, k: real(n, k) + (1 if (n, k) == (3, 2) else 0),
         )
-        code, _, err = run_cli(capsys, "count", "--n", "3", "--brute-force")
+        code, out, err = run_cli(capsys, "count", "--n", "3", "--brute-force")
         assert code == 1
-        assert "disagrees" in err
+        assert out == ""
+        assert err == "error: recurrence disagrees with brute force at n=3\n"
 
     def test_bound_exceeded_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "count", "--n", "13", "--brute-force")
         assert code == 1
         assert "error:" in err
+
+    def test_bound_checked_before_any_work(self, capsys, monkeypatch):
+        def unreachable(n, k):
+            raise AssertionError("recurrence computed before the bound check")
+
+        monkeypatch.setattr(counting, "count_recurrence", unreachable)
+        code, out, err = run_cli(capsys, "count", "--n", "13", "--brute-force")
+        assert code == 1
+        assert out == ""
+        assert "enumeration bound" in err
 
 
 class TestVerify:
@@ -101,9 +120,7 @@ class TestVerify:
         def doctored(n, **kwargs):
             table = real(n, **kwargs)
             if n == 2:
-                counts = dict(table.counts)
-                counts[0] += 1
-                return CountTable(n, counts)
+                table[0] += 1
             return table
 
         monkeypatch.setattr(counting, "partition_by_negativity", doctored)
@@ -238,16 +255,14 @@ class TestCycle:
 
 class TestSeries:
     def test_text(self, capsys):
-        code, out, _ = run_cli(capsys, "series", "--order", "2")
-        assert code == 0
-        assert out.splitlines() == [
-            "0\t0\t1",
-            "1\t0\t1",
-            "1\t1\t1",
-            "2\t0\t2",
-            "2\t1\t2",
-            "2\t2\t2",
-        ]
+        order_one = ["0\t0\t1", "1\t0\t1", "1\t1\t1"]
+        for order, expected in [
+            ("1", order_one),
+            ("2", order_one + ["2\t0\t2", "2\t1\t2", "2\t2\t2"]),
+        ]:
+            code, out, _ = run_cli(capsys, "series", "--order", order)
+            assert code == 0
+            assert out.splitlines() == expected
 
     def test_json_round_trip(self, capsys):
         _, text_out, _ = run_cli(capsys, "series", "--order", "5")
@@ -354,6 +369,7 @@ def test_optimized_interpreter_prints_the_same(argv):
     plain, optimized = (
         subprocess.run(
             [sys.executable, *flags, "-m", "chungfeller", *argv],
+            cwd=PACKAGE_PARENT,
             capture_output=True,
             text=True,
         )
@@ -379,6 +395,7 @@ def test_no_assert_statements_in_the_package():
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chungfeller", "count", "--n", "2"],
+        cwd=PACKAGE_PARENT,
         capture_output=True,
         text=True,
     )

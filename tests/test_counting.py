@@ -6,11 +6,14 @@ from itertools import product
 import pytest
 
 from chungfeller import (
+    DOWN,
+    UP,
     BoundExceeded,
     IndexOutOfRange,
     catalan,
     central_binomial,
     count_recurrence,
+    counting,
     enumerate_balanced,
     partition_by_negativity,
     paths_by_negativity,
@@ -72,6 +75,13 @@ class TestEnumerateBalanced:
         assert texts == sorted(texts, key=key)
         assert len(texts) == central_binomial(n)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_filtered_product(self, n):
+        # independent oracle: every +-1 tuple in product order, U before D,
+        # kept when it sums to 0; fixes the sequence, order and distinctness
+        expected = [s for s in product((UP, DOWN), repeat=2 * n) if sum(s) == 0]
+        assert [p.steps for p in enumerate_balanced(n)] == expected
+
     def test_bound_checked_eagerly(self):
         with pytest.raises(BoundExceeded):
             enumerate_balanced(13)
@@ -85,24 +95,27 @@ class TestEnumerateBalanced:
 
 class TestPartition:
     def test_examples(self):
-        assert partition_by_negativity(0).counts == {0: 1}
-        assert partition_by_negativity(1).counts == {0: 1, 1: 1}
-        assert partition_by_negativity(3).counts == {0: 5, 1: 5, 2: 5, 3: 5}
+        assert partition_by_negativity(0) == {0: 1}
+        assert partition_by_negativity(1) == {0: 1, 1: 1}
+        assert partition_by_negativity(3) == {0: 5, 1: 5, 2: 5, 3: 5}
 
     @pytest.mark.parametrize("n", range(8))
     def test_equidistribution_and_total(self, n):
         table = partition_by_negativity(n)
-        assert table.total() == central_binomial(n)
+        assert sum(table.values()) == central_binomial(n)
         assert all(table[k] == catalan(n) for k in range(n + 1))
+
+    def test_empty_classes_are_listed(self, monkeypatch):
+        # the table has every k in 0..n whatever the classifier says, so a
+        # broken classifier shows as wrong counts, not as missing keys
+        monkeypatch.setattr(counting, "negativity", lambda path: 0)
+        assert partition_by_negativity(2) == {0: 6, 1: 0, 2: 0}
 
     def test_paths_by_negativity_partitions(self):
         classes = paths_by_negativity(4)
         assert sorted(len(v) for v in classes.values()) == [14] * 5
         seen = [p for paths in classes.values() for p in paths]
         assert len(seen) == len(set(seen)) == central_binomial(4)
-
-    def test_to_lines(self):
-        assert partition_by_negativity(2).to_lines() == ["0\t2", "1\t2", "2\t2"]
 
 
 class TestCountRecurrence:

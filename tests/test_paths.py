@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from chungfeller import (
     DOWN,
     UP,
+    IndexOutOfRange,
     InvalidCharacter,
     LatticePath,
     NotBalanced,
     PathClass,
     RandomSource,
+    count_recurrence,
     enumerate_balanced,
     factor_primes,
     heights,
@@ -23,6 +25,7 @@ from chungfeller import (
     phi_plus,
     render_path,
     sample_dyck,
+    sample_k_negative,
 )
 
 ud_text = st.text(alphabet="UD", max_size=16)
@@ -82,7 +85,7 @@ class TestNegativity:
         assert len(_below_axis_steps(text)) == 2 * expected
 
     def test_not_balanced(self):
-        with pytest.raises(NotBalanced):
+        with pytest.raises(NotBalanced, match="^path has 2 up and 1 down steps$"):
             negativity(parse_path("UUD"))
 
     @given(ud_text)
@@ -119,7 +122,7 @@ class TestFactorPrimes:
         assert factor_primes(LatticePath()) == ()
 
     def test_not_balanced(self):
-        with pytest.raises(NotBalanced):
+        with pytest.raises(NotBalanced, match="^path has 1 up and 0 down steps$"):
             factor_primes(parse_path("U"))
 
 
@@ -142,6 +145,22 @@ class TestPathClass:
     def test_invalid(self):
         with pytest.raises(ValueError):
             PathClass(2, 3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            PathClass,
+            count_recurrence,
+            lambda n, k: sample_k_negative(n, k, RandomSource(0)),
+        ],
+        ids=["PathClass", "count_recurrence", "sample_k_negative"],
+    )
+    @pytest.mark.parametrize("n,k", [(2, 3), (2, -1), (-1, 0)])
+    def test_invalid_is_one_domain_error(self, make, n, k):
+        # one check for the class rule: the same error and message everywhere
+        with pytest.raises(IndexOutOfRange) as raised:
+            make(n, k)
+        assert str(raised.value) == f"require 0 <= k <= n, got n={n}, k={k}"
 
 
 @pytest.mark.parametrize("n", range(9))

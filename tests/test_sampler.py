@@ -17,8 +17,10 @@ from chungfeller import (
 )
 from support import chi_square
 
-# 0.999 quantile of chi-square with 4 degrees of freedom
+# 0.999 quantiles of chi-square with 4, 30 and 50 degrees of freedom
 CHI2_4DF = 18.47
+CHI2_30DF = 59.703
+CHI2_50DF = 86.661
 
 
 class TestRandomSource:
@@ -140,3 +142,19 @@ class TestSampleBalanced:
     def test_negative_n(self):
         with pytest.raises(IndexOutOfRange):
             sample_balanced(-2, RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "n,per_class,critical",
+        [(30, 100, CHI2_30DF), (50, 60, CHI2_50DF)],
+        ids=["n30", "n50"],
+    )
+    def test_negativity_uniform_past_the_enumeration_bound(
+        self, n, per_class, critical
+    ):
+        # the theorem itself, statistically, at sizes enumeration cannot
+        # reach and with no counting mechanism involved: the negativity of
+        # a uniform balanced path is uniform on 0..n; alpha = 0.001
+        rng = RandomSource(2004)
+        draws = per_class * (n + 1)
+        observed = Counter(negativity(sample_balanced(n, rng)) for _ in range(draws))
+        assert chi_square(observed, range(n + 1), draws) < critical

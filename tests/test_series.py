@@ -168,9 +168,6 @@ class TestAccessAndDump:
     def test_negative_k_is_zero(self):
         assert n_series(3).coefficient(2, -1) == 0
 
-    def test_to_lines(self):
-        assert n_series(1).to_lines() == ["0\t0\t1", "1\t0\t1", "1\t1\t1"]
-
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             BivariateSeries(1, ((1,),))
