@@ -23,13 +23,9 @@ def run_cli(capsys, *argv):
 
 class TestCount:
     def test_text_bytes(self, capsys):
-        for argv, expected in [
-            (["--n", "3"], "0\t5\n1\t5\n2\t5\n3\t5\n"),
-            (["--n", "2", "--brute-force"], "0\t2\n1\t2\n2\t2\n"),
-        ]:
-            code, out, _ = run_cli(capsys, "count", *argv)
-            assert code == 0
-            assert out == expected
+        code, out, _ = run_cli(capsys, "count", "--n", "3")
+        assert code == 0
+        assert out == "0\t5\n1\t5\n2\t5\n3\t5\n"
 
     def test_json_round_trip(self, capsys):
         code, text_out, _ = run_cli(capsys, "count", "--n", "4")
@@ -255,14 +251,16 @@ class TestCycle:
 
 class TestSeries:
     def test_text(self, capsys):
-        order_one = ["0\t0\t1", "1\t0\t1", "1\t1\t1"]
-        for order, expected in [
-            ("1", order_one),
-            ("2", order_one + ["2\t0\t2", "2\t1\t2", "2\t2\t2"]),
-        ]:
-            code, out, _ = run_cli(capsys, "series", "--order", order)
-            assert code == 0
-            assert out.splitlines() == expected
+        code, out, _ = run_cli(capsys, "series", "--order", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "0\t0\t1",
+            "1\t0\t1",
+            "1\t1\t1",
+            "2\t0\t2",
+            "2\t1\t2",
+            "2\t2\t2",
+        ]
 
     def test_json_round_trip(self, capsys):
         _, text_out, _ = run_cli(capsys, "series", "--order", "5")

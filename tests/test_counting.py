@@ -13,6 +13,7 @@ from chungfeller import (
     catalan,
     central_binomial,
     count_recurrence,
+    cli,
     counting,
     enumerate_balanced,
     partition_by_negativity,
@@ -110,6 +111,11 @@ class TestPartition:
         # broken classifier shows as wrong counts, not as missing keys
         monkeypatch.setattr(counting, "negativity", lambda path: 0)
         assert partition_by_negativity(2) == {0: 6, 1: 0, 2: 0}
+
+    def test_to_lines(self, capsys):
+        # the brute-force table as written by the CLI: one "k<TAB>count" line
+        assert cli.run(["count", "--n", "2", "--brute-force"]) == 0
+        assert capsys.readouterr().out == "0\t2\n1\t2\n2\t2\n"
 
     def test_paths_by_negativity_partitions(self):
         classes = paths_by_negativity(4)

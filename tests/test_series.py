@@ -12,6 +12,7 @@ from chungfeller import (
     catalan,
     catalan_series,
     central_binomial,
+    cli,
     geometric_inverse,
     n_series,
     partition_by_negativity,
@@ -171,3 +172,9 @@ class TestAccessAndDump:
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             BivariateSeries(1, ((1,),))
+
+    def test_to_lines(self, capsys):
+        # the series as written by the CLI: one "n<TAB>k<TAB>value" line a term
+        assert cli.run(["series", "--order", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["0\t0\t1", "1\t0\t1", "1\t1\t1"]
