@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from itertools import combinations
 
 from .errors import BoundExceeded, IndexOutOfRange
-from .paths import DOWN, UP, LatticePath, check_class, negativity
+from .paths import DOWN, UP, LatticePath, check_class, check_half_length, negativity
 
 # C(24,12) = 2,704,156 paths; enumeration above this is almost certainly
 # a mistake, so it must be requested explicitly via `bound`.
@@ -58,8 +58,7 @@ def enumerate_balanced(
     i where the other has a larger up position, so its tuple comes first.
     Returns a lazy iterator; the bound is checked eagerly.
     """
-    if n < 0:
-        raise IndexOutOfRange(f"half-length must be nonnegative, got {n}")
+    check_half_length(n)
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds the enumeration bound {bound}")
     return _balanced_paths(n)
@@ -107,16 +106,13 @@ def count_recurrence(n: int, k: int) -> int:
     rows = _recurrence_rows
     if len(rows) <= n:
         rows = list(rows)
+        cat = [catalan(i) for i in range(n)]
         while len(rows) <= n:
             m = len(rows)
             row = []
             for j in range(m + 1):
-                total = sum(
-                    catalan(p - 1) * rows[m - p][j] for p in range(1, m - j + 1)
-                )
-                total += sum(
-                    catalan(q - 1) * rows[m - q][j - q] for q in range(1, j + 1)
-                )
+                total = sum(cat[p - 1] * rows[m - p][j] for p in range(1, m - j + 1))
+                total += sum(cat[q - 1] * rows[m - q][j - q] for q in range(1, j + 1))
                 row.append(total)
             rows.append(row)
         _recurrence_rows = rows

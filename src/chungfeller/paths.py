@@ -129,6 +129,12 @@ def check_class(n: int, k: int) -> None:
         raise IndexOutOfRange(f"require 0 <= k <= n, got n={n}, k={k}")
 
 
+def check_half_length(n: int) -> None:
+    """Raise IndexOutOfRange unless n is a half-length: n >= 0."""
+    if n < 0:
+        raise IndexOutOfRange(f"half-length must be nonnegative, got {n}")
+
+
 def _check_balanced(path: LatticePath) -> None:
     if not path.is_balanced:
         raise NotBalanced(

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from .bijection import lift
 from .cycle import CyclicSequence, canonical_rotation
-from .errors import IndexOutOfRange
-from .paths import DOWN, UP, LatticePath, check_class
+from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -68,8 +67,7 @@ class RandomSource:
 
 def sample_dyck(n: int, rng: RandomSource) -> LatticePath:
     """Uniform random Dyck path of half-length n."""
-    if n < 0:
-        raise IndexOutOfRange(f"half-length must be nonnegative, got {n}")
+    check_half_length(n)
     arrangement = [UP] * (n + 1) + [DOWN] * n
     rng.shuffle(arrangement)
     _, rotated = canonical_rotation(CyclicSequence(tuple(arrangement)))
@@ -86,8 +84,7 @@ def sample_k_negative(n: int, k: int, rng: RandomSource) -> LatticePath:
 
 def sample_balanced(n: int, rng: RandomSource) -> LatticePath:
     """Uniform random balanced path of length 2n (all C(2n,n) equally likely)."""
-    if n < 0:
-        raise IndexOutOfRange(f"half-length must be nonnegative, got {n}")
+    check_half_length(n)
     arrangement = [UP] * n + [DOWN] * n
     rng.shuffle(arrangement)
     return LatticePath(tuple(arrangement))

@@ -15,6 +15,11 @@ series truncated at a fixed x-degree, and the identities that the closed
 forms encode (e.g. c = 1 + x*c^2) are checked as polynomial identities
 through the truncation order.
 
+N is computed by forward substitution (Knuth, TAOCP Vol. 2, 4.7): the
+x^n row of 1/(1-u) is a sum over the n rows of u and the n rows already
+found, so no power of u is ever formed.  For N, whose u has at most two
+nonzero coefficients a row, that is O(d^3) coefficient products at order d.
+
 Since k <= n for every path, coefficients are stored triangularly:
 row n holds the coefficients of t^0 x^n .. t^n x^n.
 """
@@ -126,17 +131,30 @@ def prime_series_neg(order: int) -> BivariateSeries:
 def geometric_inverse(u: BivariateSeries) -> BivariateSeries:
     """1/(1-u) = sum of u^l for a series u with zero constant term.
 
-    Powers beyond l = order cannot reach degrees <= order, so the Horner
-    form v <- 1 + u*v iterated `order` times is exact through truncation.
+    Forward substitution: v = 1 + u*v read off one x-degree at a time gives
+    v_0 = 1 and v_n = sum_{m=1..n} u_m * v_{n-m}, where u_m and v_j are the
+    rows of t-coefficients.  The sum needs only rows of v below n, because
+    u_0 = 0, and only x-degrees <= n, so truncating at `order` loses
+    nothing: every coefficient is exact.  A dense u costs O(d^4)
+    coefficient products at order d; each zero coefficient of u is skipped.
     """
     if u.coefficient(0, 0) != 0:
         raise NonzeroConstantTerm(
             f"constant term must be 0, got {u.coefficient(0, 0)}"
         )
-    v = one(u.order)
-    for _ in range(u.order):
-        v = one(u.order) + u * v
-    return v
+    rows = _zero_rows(u.order)
+    rows[0][0] = 1
+    for n in range(1, u.order + 1):
+        target = rows[n]
+        for m in range(1, n + 1):
+            earlier = rows[n - m]
+            for k1, c1 in enumerate(u.coeffs[m]):
+                if not c1:
+                    continue
+                for k2, c2 in enumerate(earlier):
+                    if c2:
+                        target[k1 + k2] += c1 * c2
+    return BivariateSeries(u.order, _freeze(rows))
 
 
 def n_series(order: int) -> BivariateSeries:

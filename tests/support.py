@@ -2,6 +2,8 @@
 
 from itertools import accumulate, product
 
+from chungfeller.series import one
+
 
 def chi_square(observed, classes, draws):
     """Pearson statistic against the uniform distribution on `classes`."""
@@ -27,3 +29,16 @@ def dominating_shifts_by_rotation(terms):
     return tuple(
         j for j in range(len(terms)) if min(rotation_prefix_sums(terms, j)[1:]) >= 1
     )
+
+
+def geometric_inverse_by_horner(u):
+    """Series-inverse oracle: 1/(1-u) by Horner, v <- 1 + u*v, `order` times.
+
+    Powers of u beyond the order cannot reach degrees <= order, so this is
+    exact through truncation; it uses only the generic series product,
+    independently of the forward substitution in series.
+    """
+    v = one(u.order)
+    for _ in range(u.order):
+        v = one(u.order) + u * v
+    return v

@@ -1,6 +1,7 @@
 """CLI contract: output formats, exit codes, and fault detection."""
 
 import ast
+import hashlib
 import json
 import subprocess
 import sys
@@ -133,6 +134,33 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "enumeration bound" in err
+
+
+# sha256 of stdout as printed by the Horner series inverse and by a
+# recurrence calling catalan() per term; the faster kernels print the same
+LARGE_TABLE_DIGESTS = {
+    ("count", "--n", "180", "--format", "text"): (
+        "58d22c5aa6b895df51e19cc0f39bd88caa73ed2d3fe264b6f6801caeeb643c19"
+    ),
+    ("count", "--n", "180", "--format", "json"): (
+        "d38adb44c9c0417e3e9fd3123c1b8901fa30dfee5a3ca876362bdaca914bbec8"
+    ),
+    ("series", "--order", "60", "--format", "text"): (
+        "335b05e2fc753ba89cc24cc4686fa7f5e76566f2f0591808b78ca20fb225e923"
+    ),
+    ("series", "--order", "60", "--format", "json"): (
+        "18000cd5ecce7e300ca4e91ddc9ca03bd8cb35eaeb8ff5a90796f0f68a988ee2"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(LARGE_TABLE_DIGESTS), ids=lambda argv: "-".join(argv[::2])
+)
+def test_large_table_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[argv]
 
 
 class TestPhi:

@@ -138,6 +138,21 @@ class TestCountRecurrence:
         # k = n leaves only the negative-prime sum
         assert count_recurrence(6, 6) == catalan(6) == 132
 
+    def test_cold_memo_extends_like_one_build(self, monkeypatch):
+        # the memo grows in steps 0 -> 7 -> (3 hits the memo) -> 40; every
+        # row must equal a single cold build to 40
+        def cold():
+            monkeypatch.setattr(counting, "_recurrence_rows", [[1]])
+            monkeypatch.setattr(counting, "_catalan_table", [1])
+
+        cold()
+        for n in (7, 3, 40):
+            count_recurrence(n, 0)
+        stepwise = counting._recurrence_rows
+        cold()
+        count_recurrence(40, 0)
+        assert stepwise == counting._recurrence_rows
+
     @pytest.mark.parametrize("n,k", [(3, 4), (3, -1), (-1, 0)])
     def test_out_of_range(self, n, k):
         with pytest.raises(IndexOutOfRange):

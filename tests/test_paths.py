@@ -24,6 +24,7 @@ from chungfeller import (
     phi_minus,
     phi_plus,
     render_path,
+    sample_balanced,
     sample_dyck,
     sample_k_negative,
 )
@@ -161,6 +162,23 @@ class TestPathClass:
         with pytest.raises(IndexOutOfRange) as raised:
             make(n, k)
         assert str(raised.value) == f"require 0 <= k <= n, got n={n}, k={k}"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        enumerate_balanced,
+        lambda n: sample_dyck(n, RandomSource(0)),
+        lambda n: sample_balanced(n, RandomSource(0)),
+    ],
+    ids=["enumerate_balanced", "sample_dyck", "sample_balanced"],
+)
+@pytest.mark.parametrize("n", [-1, -7])
+def test_negative_half_length_is_one_domain_error(make, n):
+    # one check for the half-length rule: the same error and message everywhere
+    with pytest.raises(IndexOutOfRange) as raised:
+        make(n)
+    assert str(raised.value) == f"half-length must be nonnegative, got {n}"
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -1,7 +1,7 @@
 """Exact truncated series: constructors, arithmetic, and the count identity."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chungfeller import (
@@ -13,6 +13,7 @@ from chungfeller import (
     catalan_series,
     central_binomial,
     cli,
+    count_recurrence,
     geometric_inverse,
     n_series,
     partition_by_negativity,
@@ -20,6 +21,7 @@ from chungfeller import (
     prime_series_pos,
 )
 from chungfeller.series import one, zero
+from support import geometric_inverse_by_horner
 
 
 def _build(order, entries):
@@ -34,6 +36,10 @@ def _series(order):
     return st.tuples(
         *[st.tuples(*[coefficient] * (n + 1)) for n in range(order + 1)]
     ).map(lambda rows: BivariateSeries(order, rows))
+
+
+def _without_constant(u):
+    return BivariateSeries(u.order, ((0,),) + u.coeffs[1:])
 
 
 class TestCatalanSeries:
@@ -127,6 +133,16 @@ class TestGeometricInverse:
         with pytest.raises(NonzeroConstantTerm):
             geometric_inverse(one(3))
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 8).flatmap(_series).map(_without_constant))
+    def test_matches_horner_oracle(self, u):
+        assert geometric_inverse(u) == geometric_inverse_by_horner(u)
+
+    def test_prime_series_matches_horner_oracle(self):
+        for order in range(31):
+            u = prime_series_pos(order) + prime_series_neg(order)
+            assert geometric_inverse(u) == geometric_inverse_by_horner(u)
+
 
 class TestNSeries:
     def test_constant(self):
@@ -152,6 +168,14 @@ class TestNSeries:
             counts = partition_by_negativity(n)
             for k in range(n + 1):
                 assert table.coefficient(n, k) == counts[k]
+
+    def test_matches_recurrence_past_the_enumeration_bound(self):
+        # series against recurrence at 200, far past what enumeration reaches
+        order = 200
+        table = n_series(order)
+        for n in range(order + 1):
+            for k in range(n + 1):
+                assert table.coefficient(n, k) == count_recurrence(n, k) == catalan(n)
 
     def test_row_sums(self):
         order = 30
