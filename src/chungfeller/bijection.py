@@ -25,6 +25,21 @@ any of the segments is empty.  Each map is one slice-and-glue of the
 steps tuple around the index range of the last prime of its sign;
 factor_last_positive_prime and factor_last_negative_prime return the
 same pieces as a Factorization(sign, prefix, inner, suffix).
+
+lift applies phi_plus k times to a Dyck path of half-length n in
+O(n + k) steps in all, instead of rebuilding the path k times.  By
+induction, every positive prime of an iterate is an untouched range
+[a, b) of the input whose U at a is matched by the D at b-1: phi_plus
+only wraps the suffix, which holds negative primes alone, into one new
+negative prime D + suffix + U, and lifts the top-level primes of the
+inner range [a+1, b-1) to the top level.  So lift builds the match
+array once, keeps the iterate as a stack of top-level blocks (positive
+ranges and negative nodes), and performs each phi_plus as one stack
+operation: pop the trailing negative blocks, pop the last positive
+range, push a negative node over the popped blocks, push the top-level
+primes of the opened range.  Each input range is opened at most once
+and each negative node is popped at most once; one flatten at the end
+builds the LatticePath.
 """
 
 from __future__ import annotations
@@ -112,12 +127,59 @@ def phi_minus(path: LatticePath) -> LatticePath:
     return _move_last_prime(path, DOWN)
 
 
+def _children(ends: list[int], start: int, stop: int) -> list[int]:
+    """Starts of the top-level primes of the Dyck range steps[start:stop]."""
+    starts = []
+    while start < stop:
+        starts.append(start)
+        start = ends[start]
+    return starts
+
+
 def lift(path: LatticePath, k: int) -> LatticePath:
-    """k-fold phi_plus: carries a Dyck path to class (n, k) bijectively."""
+    """k-fold phi_plus: carries a Dyck path to class (n, k) bijectively.
+
+    Returns the path of k successive phi_plus calls, in O(n + k) steps
+    by the block stack of the module docstring.  A block is the start a
+    of a positive range [a, ends[a]) of the input, or a negative node ~j,
+    the prime D + negatives[j] + U.
+    """
     if not is_dyck(path):
         raise NotDyckPath("lift requires a Dyck path")
     check_class(path.half_length, k)
-    lifted = path
+    steps = path.steps
+    # ends[a] = one past the down-step matching the up-step at a
+    ends = [0] * len(steps)
+    opened = []
+    for i, step in enumerate(steps):
+        if step == UP:
+            opened.append(i)
+        else:
+            ends[opened.pop()] = i + 1
+    blocks = _children(ends, 0, len(steps))
+    negatives: list[list[int]] = []
     for _ in range(k):
-        lifted = phi_plus(lifted)
-    return lifted
+        # suffix = the trailing negative blocks; k <= n leaves a positive one
+        cut = len(blocks) - 1
+        while blocks[cut] < 0:
+            cut -= 1
+        start = blocks[cut]
+        negatives.append(blocks[cut + 1 :])
+        del blocks[cut:]
+        blocks.append(~(len(negatives) - 1))
+        blocks += _children(ends, start + 1, ends[start] - 1)
+    # negative nodes nest up to k deep: flatten with an explicit stack,
+    # where None stands for the up-step that closes a negative node
+    lifted: list[int] = []
+    pending: list[int | None] = blocks[::-1]
+    while pending:
+        block = pending.pop()
+        if block is None:
+            lifted.append(UP)
+        elif block >= 0:
+            lifted += steps[block : ends[block]]
+        else:
+            lifted.append(DOWN)
+            pending.append(None)
+            pending += reversed(negatives[~block])
+    return LatticePath(lifted)

@@ -8,7 +8,6 @@ TAB-separated; --format json emits the same content as JSON.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Sequence
 
@@ -42,6 +41,9 @@ def _uint64(text: str) -> int:
 
 def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
     if args.format == "json":
+        # imported here: text output, the default, never pays for json
+        import json
+
         print(json.dumps(payload))
     else:
         for line in lines:

@@ -7,7 +7,8 @@ up-step.  Every Dyck path of half-length n arises from exactly 2n+1 of
 the arrangements (the distinct rotations of its up-step-prefixed lift),
 so the result is uniform over all C_n Dyck paths without any rejection
 of candidate paths.  Class (n, k) is sampled by lifting a uniform Dyck
-path with the k-fold negativity-raising bijection.
+path with the k-fold negativity-raising bijection, which bijection.lift
+applies in O(n + k) steps, so both samplers are linear in n.
 
 Randomness comes from splitmix64, a fixed, publicly specified 64-bit
 generator, so identical seeds give identical streams on any platform.

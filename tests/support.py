@@ -2,6 +2,7 @@
 
 from itertools import accumulate, product
 
+from chungfeller.bijection import phi_plus
 from chungfeller.series import one
 
 
@@ -42,3 +43,14 @@ def geometric_inverse_by_horner(u):
     for _ in range(u.order):
         v = one(u.order) + u * v
     return v
+
+
+def lift_by_phi_plus(path, k):
+    """Lift oracle: the k-fold phi_plus loop, rescanning the path each time.
+
+    Applies the bijection's definition literally, independently of the
+    block stack in bijection.lift.
+    """
+    for _ in range(k):
+        path = phi_plus(path)
+    return path

@@ -1,6 +1,8 @@
 """The negativity-raising/lowering maps and their factorizations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chungfeller import (
     DOWN,
@@ -9,9 +11,12 @@ from chungfeller import (
     NoNegativePrime,
     NoPositivePrime,
     NotDyckPath,
+    RandomSource,
+    bijection,
     enumerate_balanced,
     factor_last_negative_prime,
     factor_last_positive_prime,
+    is_dyck,
     lift,
     negativity,
     parse_path,
@@ -19,7 +24,9 @@ from chungfeller import (
     phi_minus,
     phi_plus,
     render_path,
+    sample_dyck,
 )
+from support import lift_by_phi_plus
 
 
 def _triple(f):
@@ -168,3 +175,42 @@ def test_lift_is_bijection_onto_each_class(n):
         lifted = [lift(s, k) for s in classes[0]]
         assert len(set(lifted)) == len(lifted)
         assert set(lifted) == set(classes[k])
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_lift_matches_phi_plus_loop_exhaustive(n):
+    for path in enumerate_balanced(n):
+        if is_dyck(path):
+            for k in range(n + 1):
+                assert lift(path, k) == lift_by_phi_plus(path, k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 500).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.integers(0, 2**64 - 1),
+)
+def test_lift_matches_phi_plus_loop_past_the_enumeration_bound(n_k, seed):
+    n, k = n_k
+    path = sample_dyck(n, RandomSource(seed))
+    assert lift(path, k) == lift_by_phi_plus(path, k)
+
+
+def test_lift_routes_through_neither_phi_plus_nor_factor_primes(monkeypatch):
+    path = sample_dyck(60, RandomSource(6))
+    expected = [lift_by_phi_plus(path, k) for k in range(61)]
+
+    def forbidden(*_):
+        raise AssertionError("lift must not call this")
+
+    monkeypatch.setattr(bijection, "phi_plus", forbidden)
+    monkeypatch.setattr(bijection, "factor_primes", forbidden)
+    assert [lift(path, k) for k in range(61)] == expected
+
+
+def test_lift_closed_forms_far_past_the_enumeration_bound():
+    # lifting (UD)^n nests n negative nodes, so the flatten must not
+    # recurse; the k-fold phi_plus loop would take minutes at n = 20,000
+    for n, lifted in ((6, lift_by_phi_plus), (20_000, lift)):
+        assert lifted(parse_path("UD" * n), n) == parse_path("D" * n + "U" * n)
+        assert lifted(parse_path("U" * n + "D" * n), n) == parse_path("DU" * n)

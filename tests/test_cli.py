@@ -163,6 +163,25 @@ def test_large_table_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[argv]
 
 
+# sha256 of stdout as printed by the k-fold phi_plus loop; the block-stack
+# lift prints the same
+LARGE_SAMPLE_DIGESTS = {
+    "text": "740418fc6023ee6fbfcc933ae01b9c408bf3ca36f4a074c69ba482ea08668adf",
+    "json": "074a9acaf8419bb6d15e857cb95bf62eca5049745df23ab15d1c9d87a1045e8d",
+}
+
+
+@pytest.mark.parametrize("fmt", list(LARGE_SAMPLE_DIGESTS))
+def test_large_sample_bytes(capsys, fmt):
+    code, out, err = run_cli(
+        capsys,
+        "sample", "--n", "2000", "--k", "1000", "--count", "2", "--seed", "7",
+        "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_SAMPLE_DIGESTS[fmt]
+
+
 class TestPhi:
     def test_up_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "phi", "--dir", "up", "--path", "UUDD")
@@ -427,3 +446,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "0\t2\n1\t2\n2\t2\n"
+
+
+@pytest.mark.parametrize("fmt,loaded", [("text", "False"), ("json", "True")])
+def test_json_is_imported_only_for_json_output(fmt, loaded):
+    script = (
+        "import sys\n"
+        "from chungfeller import cli\n"
+        f"cli.run(['count', '--n', '2', '--format', '{fmt}'])\n"
+        "print('json' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=PACKAGE_PARENT,
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, f"{loaded}\n")
