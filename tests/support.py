@@ -54,3 +54,37 @@ def lift_by_phi_plus(path, k):
     for _ in range(k):
         path = phi_plus(path)
     return path
+
+
+def splitmix64_by_scalar(seed):
+    """Stream oracle: splitmix64 one word at a time, as publicly specified.
+
+    Advances the state by gamma and mixes it with 64-bit masks after each
+    product, independently of the block kernel in sampler.
+    """
+    mask = (1 << 64) - 1
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def randbelow_by_scalar(words, bound):
+    """Bounded-draw oracle: the top bits of successive words, retried until
+    they fall below `bound`."""
+    bits = (bound - 1).bit_length()
+    while True:
+        value = next(words) >> (64 - bits)
+        if value < bound:
+            return value
+
+
+def shuffle_by_randbelow(rng, items):
+    """Shuffle oracle: descending Fisher-Yates, one rng.randbelow(i + 1)
+    call per position, independently of the inlined draws in shuffle."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        items[i], items[j] = items[j], items[i]

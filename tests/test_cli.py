@@ -182,6 +182,34 @@ def test_large_sample_bytes(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_SAMPLE_DIGESTS[fmt]
 
 
+# sha256 of stdout as printed by the one-word-at-a-time splitmix64; the
+# block kernel prints the same.  Each pair of commands draws more than
+# 100,000 words, across hundreds of 256-word blocks
+SMALL_SAMPLE_DIGESTS = {
+    ("--n", "12", "--k", "6", "--count", "2000", "--seed", "2026", "--format", "text"): (
+        "eb38796dd5e7ecbf79826869781f30dedc21f9606046f3a0c89b0a64a97f564c"
+    ),
+    ("--n", "12", "--k", "6", "--count", "2000", "--seed", "2026", "--format", "json"): (
+        "ca3a864f76ecd42ae65776ee0eb53fcde0d6497f5e8b295841bf353b99b7520f"
+    ),
+    ("--n", "10", "--count", "2000", "--seed", "7", "--format", "text"): (
+        "fb7cab6b0892264477789309546796ff6ddbfe011a6a135a1a76e44ffbf303cc"
+    ),
+    ("--n", "10", "--count", "2000", "--seed", "7", "--format", "json"): (
+        "e1171b6af2de6ad92bfa4c2821a2b3437a41972098117ebed966e3731625a318"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(SMALL_SAMPLE_DIGESTS), ids=lambda argv: "-".join(argv[1::2])
+)
+def test_small_sample_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, "sample", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SMALL_SAMPLE_DIGESTS[argv]
+
+
 class TestPhi:
     def test_up_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "phi", "--dir", "up", "--path", "UUDD")

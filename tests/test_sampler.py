@@ -1,8 +1,11 @@
 """Seeded generator and the uniform path samplers."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chungfeller import (
     IndexOutOfRange,
@@ -15,7 +18,22 @@ from chungfeller import (
     sample_dyck,
     sample_k_negative,
 )
-from support import chi_square
+from support import (
+    chi_square,
+    randbelow_by_scalar,
+    shuffle_by_randbelow,
+    splitmix64_by_scalar,
+)
+
+GAMMA = 0x9E3779B97F4A7C15
+# 0, 1, the largest seed, and a seed whose first step wraps past 2**64
+EDGE_SEEDS = [0, 1, 2**64 - 1, 2**64 - GAMMA]
+
+
+def scalar_source(words):
+    """An object with the randbelow of the scalar oracle over `words`."""
+    return SimpleNamespace(randbelow=lambda bound: randbelow_by_scalar(words, bound))
+
 
 # 0.999 quantiles of chi-square with 4, 30 and 50 degrees of freedom
 CHI2_4DF = 18.47
@@ -54,6 +72,68 @@ class TestRandomSource:
         assert set(draws) == set(range(7))
         with pytest.raises(ValueError):
             rng.randbelow(0)
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer$"):
+            RandomSource(1.0)
+
+    @pytest.mark.parametrize("bound", [0, -3, 2**64 + 1])
+    def test_bound_out_of_range(self, bound):
+        with pytest.raises(ValueError) as info:
+            RandomSource(1).randbelow(bound)
+        assert str(info.value) == f"bound must be in 1..2**64, got {bound}"
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS, ids=hex)
+    def test_stream_matches_scalar(self, seed):
+        # 1000 words span more than three 256-word blocks
+        rng, oracle = RandomSource(seed), splitmix64_by_scalar(seed)
+        assert [rng.next_uint64() for _ in range(1000)] == [
+            next(oracle) for _ in range(1000)
+        ]
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 2**64 - 1))
+    def test_stream_matches_scalar_for_any_seed(self, seed):
+        rng, oracle = RandomSource(seed), splitmix64_by_scalar(seed)
+        assert [rng.next_uint64() for _ in range(600)] == [
+            next(oracle) for _ in range(600)
+        ]
+
+    @pytest.mark.parametrize(
+        "bound",
+        [1, 2, 3, 7, 2**5, 2**5 + 1, 2**32, 2**32 + 1, 2**63, 2**63 + 1, 2**64],
+    )
+    def test_randbelow_matches_scalar(self, bound):
+        rng, oracle = RandomSource(31), splitmix64_by_scalar(31)
+        assert [rng.randbelow(bound) for _ in range(600)] == [
+            randbelow_by_scalar(oracle, bound) for _ in range(600)
+        ]
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 25, 257, 4001])
+    def test_shuffle_matches_randbelow_loop(self, length):
+        # two shuffles per source, so the second starts mid-block; at 257
+        # the first already crosses a block boundary
+        rng, oracle = RandomSource(4242), splitmix64_by_scalar(4242)
+        scalar = scalar_source(oracle)
+        for _ in range(2):
+            items, expected = list(range(length)), list(range(length))
+            rng.shuffle(items)
+            shuffle_by_randbelow(scalar, expected)
+            assert items == expected
+
+    def test_interleaved_calls_share_one_stream(self):
+        rng, oracle = RandomSource(99), splitmix64_by_scalar(99)
+        scalar = scalar_source(oracle)
+        for length in (0, 1, 2, 25, 257, 30, 4001, 3):
+            assert rng.next_uint64() == next(oracle)
+            assert rng.randbelow(length + 5) == randbelow_by_scalar(oracle, length + 5)
+            items, expected = list(range(length)), list(range(length))
+            rng.shuffle(items)
+            shuffle_by_randbelow(scalar, expected)
+            assert items == expected
+        assert [rng.next_uint64() for _ in range(300)] == [
+            next(oracle) for _ in range(300)
+        ]
 
     def test_shuffle_permutes(self):
         rng = RandomSource(11)
