@@ -10,9 +10,6 @@ fifth view and an exactly uniform random sampler.
 """
 
 from .bijection import (
-    Factorization,
-    factor_last_negative_prime,
-    factor_last_positive_prime,
     lift,
     phi_minus,
     phi_plus,
@@ -24,7 +21,6 @@ from .counting import (
     count_recurrence,
     enumerate_balanced,
     partition_by_negativity,
-    paths_by_negativity,
 )
 from .cycle import (
     CyclicSequence,
@@ -57,9 +53,7 @@ from .paths import (
     DOWN,
     UP,
     LatticePath,
-    PathClass,
     factor_primes,
-    heights,
     is_dyck,
     negativity,
     parse_path,

@@ -22,9 +22,9 @@ suffix + D + inner) and is its exact inverse.
 
 Both factorizations are unique, and both maps are defined verbatim when
 any of the segments is empty.  Each map is one slice-and-glue of the
-steps tuple around the index range of the last prime of its sign;
-factor_last_positive_prime and factor_last_negative_prime return the
-same pieces as a Factorization(sign, prefix, inner, suffix).
+steps tuple around the index range [start, end) of the last prime of its
+sign: prefix = steps[:start], inner = steps[start+1:end-1] and suffix =
+steps[end:].
 
 lift applies phi_plus k times to a Dyck path of half-length n in
 O(n + k) steps in all, instead of rebuilding the path k times.  By
@@ -44,34 +44,8 @@ builds the LatticePath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NoNegativePrime, NoPositivePrime, NotDyckPath
 from .paths import DOWN, UP, LatticePath, check_class, factor_primes, is_dyck
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """original = prefix + s + inner + (-s) + suffix, around the last prime of sign s.
-
-    For s = UP, ``inner`` is a Dyck path and ``suffix`` a negative Dyck
-    path; for s = DOWN, ``inner`` is a negative Dyck path and ``suffix`` a
-    Dyck path.
-    """
-
-    sign: int
-    prefix: LatticePath
-    inner: LatticePath
-    suffix: LatticePath
-
-    def reassemble(self) -> LatticePath:
-        return LatticePath(
-            self.prefix.steps
-            + (self.sign,)
-            + self.inner.steps
-            + (-self.sign,)
-            + self.suffix.steps
-        )
 
 
 def _last_prime(path: LatticePath, sign: int) -> tuple[int, int]:
@@ -85,27 +59,6 @@ def _last_prime(path: LatticePath, sign: int) -> tuple[int, int]:
     if sign == UP:
         raise NoPositivePrime("no positive prime")
     raise NoNegativePrime("no negative prime")
-
-
-def _factor_last_prime(path: LatticePath, sign: int) -> Factorization:
-    start, end = _last_prime(path, sign)
-    steps = path.steps
-    return Factorization(
-        sign,
-        prefix=LatticePath(steps[:start]),
-        inner=LatticePath(steps[start + 1 : end - 1]),
-        suffix=LatticePath(steps[end:]),
-    )
-
-
-def factor_last_positive_prime(path: LatticePath) -> Factorization:
-    """Unique factorization around the last positive prime excursion."""
-    return _factor_last_prime(path, UP)
-
-
-def factor_last_negative_prime(path: LatticePath) -> Factorization:
-    """Unique factorization around the last negative prime excursion."""
-    return _factor_last_prime(path, DOWN)
 
 
 def _move_last_prime(path: LatticePath, sign: int) -> LatticePath:

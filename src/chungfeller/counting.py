@@ -80,16 +80,6 @@ def partition_by_negativity(
     return {k: counts[k] for k in range(n + 1)}
 
 
-def paths_by_negativity(
-    n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> dict[int, list[LatticePath]]:
-    """The classes themselves: k -> all paths of class (n, k), in order."""
-    classes: dict[int, list[LatticePath]] = {k: [] for k in range(n + 1)}
-    for path in enumerate_balanced(n, bound=bound):
-        classes[negativity(path)].append(path)
-    return classes
-
-
 def count_recurrence(n: int, k: int) -> int:
     """Count class (n, k) by recurrence on the first prime excursion.
 

@@ -29,12 +29,10 @@ Sequences render as strings over '+' and '-'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 from .errors import IndexOutOfRange, NonPositiveSum, NonUnitSum
-from .paths import _freeze_steps, parse, render
+from .paths import _freeze_steps, _Value, parse, render
 
 _SEQUENCE_ALPHABET = "+-"
 
@@ -42,24 +40,25 @@ _SEQUENCE_ALPHABET = "+-"
 RankOrder = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CyclicSequence:
+class CyclicSequence(_Value):
     """Immutable +-1 sequence viewed up to rotation."""
 
-    terms: tuple[int, ...] = ()
+    __slots__ = ("terms", "_sums")
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        _freeze_steps(self, "terms")
+    def __init__(self, terms: tuple[int, ...] = ()):
+        terms = self.__post_init__(terms)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_sums", tuple(accumulate(terms, initial=0)))
+
+    def __post_init__(self, terms: tuple[int, ...]) -> tuple[int, ...]:
+        return _freeze_steps(terms, "terms")
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def __str__(self) -> str:
         return render_sequence(self)
-
-    @cached_property
-    def _sums(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.terms, initial=0))
 
     @property
     def total(self) -> int:

@@ -17,11 +17,13 @@ is steps[e_{j-1}:e_j], where e_1 < ... < e_r are the returns to height 0
 and e_0 = 0, and its sign is its first step.
 
 The text form of a path is a string over 'U' (up) and 'D' (down).
+LatticePath and cycle.CyclicSequence hold their +-1 entries as a tuple:
+_freeze_steps turns the argument into one and checks every entry, and
+it returns the tuple for __init__ to store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import IndexOutOfRange, InvalidCharacter, NotBalanced
@@ -32,14 +34,49 @@ DOWN = -1
 _PATH_ALPHABET = "UD"
 
 
-def _freeze_steps(owner, field: str) -> None:
-    """Store owner.<field> as a tuple; ValueError unless every entry is +1 or -1."""
-    values = getattr(owner, field)
-    if not isinstance(values, tuple):
-        values = tuple(values)
-        object.__setattr__(owner, field, values)
+def _freeze_steps(values, field: str) -> tuple[int, ...]:
+    """values as a tuple; ValueError unless every entry is +1 or -1."""
+    values = tuple(values)
     if values.count(UP) + values.count(DOWN) != len(values):
         raise ValueError(f"{field} must all be +1 or -1")
+    return values
+
+
+class _Value:
+    """Immutable value with fields `_fields`, stored in slots.
+
+    Compares equal only to an instance of the same class with equal
+    fields, hashes the fields, and refuses assignment.  __init__ stores
+    each field once through object.__setattr__; copy and pickle rebuild
+    the value through __init__, so a copy is validated like the original.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def parse(text: str, alphabet: str) -> tuple[int, ...]:
@@ -60,25 +97,22 @@ def render(steps: tuple[int, ...], alphabet: str) -> str:
     return "".join(char_of[step] for step in steps)
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(_Value):
     """Immutable sequence of +-1 steps."""
 
-    steps: tuple[int, ...] = ()
+    __slots__ = _fields = ("steps",)
 
-    def __post_init__(self):
-        _freeze_steps(self, "steps")
+    def __init__(self, steps: tuple[int, ...] = ()):
+        object.__setattr__(self, "steps", self.__post_init__(steps))
+
+    # validation is a method of its own, called once from __init__, because
+    # perfbench/tracer.py wraps LatticePath.__post_init__ and
+    # CyclicSequence.__post_init__ by name
+    def __post_init__(self, steps: tuple[int, ...]) -> tuple[int, ...]:
+        return _freeze_steps(steps, "steps")
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __add__(self, other: "LatticePath") -> "LatticePath":
-        if not isinstance(other, LatticePath):
-            return NotImplemented
-        return LatticePath(self.steps + other.steps)
 
     def __str__(self) -> str:
         return render_path(self)
@@ -99,28 +133,6 @@ class LatticePath:
     def half_length(self) -> int:
         """n for a path of length 2n (only meaningful when balanced)."""
         return len(self.steps) // 2
-
-
-@dataclass(frozen=True)
-class PathClass:
-    """The class (n, k): balanced paths of length 2n with negativity k."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        check_class(self.n, self.k)
-
-    @classmethod
-    def of(cls, path: LatticePath) -> "PathClass":
-        return cls(path.half_length, negativity(path))
-
-    def contains(self, path: LatticePath) -> bool:
-        return (
-            len(path) == 2 * self.n
-            and path.is_balanced
-            and negativity(path) == self.k
-        )
 
 
 def check_class(n: int, k: int) -> None:
@@ -150,11 +162,6 @@ def parse_path(text: str) -> LatticePath:
 def render_path(path: LatticePath) -> str:
     """Exact inverse of parse_path."""
     return render(path.steps, _PATH_ALPHABET)
-
-
-def heights(path: LatticePath) -> list[int]:
-    """Height profile h(0..len): h(0) = 0, h(i) = h(i-1) + step_i."""
-    return list(accumulate(path.steps, initial=0))
 
 
 def negativity(path: LatticePath) -> int:

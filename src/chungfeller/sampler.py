@@ -29,7 +29,7 @@ import struct
 from collections.abc import Iterator
 
 from .bijection import lift
-from .cycle import CyclicSequence, canonical_rotation
+from .cycle import CyclicSequence, dominating_shifts
 from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 
 _MASK64 = (1 << 64) - 1
@@ -120,10 +120,12 @@ def sample_dyck(n: int, rng: RandomSource) -> LatticePath:
     check_half_length(n)
     arrangement = [UP] * (n + 1) + [DOWN] * n
     rng.shuffle(arrangement)
-    _, rotated = canonical_rotation(CyclicSequence(tuple(arrangement)))
-    # the dominating rotation starts with an up-step; dropping it leaves
-    # a path that never dips below the axis
-    return LatticePath(rotated.terms[1:])
+    seq = CyclicSequence(arrangement)
+    # the sum is 1, so there is one dominating shift; its rotation starts
+    # with an up-step, and dropping it leaves a path that never dips below
+    # the axis
+    shift = dominating_shifts(seq)[0]
+    return LatticePath(seq.terms[shift + 1 :] + seq.terms[:shift])
 
 
 def sample_k_negative(n: int, k: int, rng: RandomSource) -> LatticePath:

@@ -26,10 +26,9 @@ row n holds the coefficients of t^0 x^n .. t^n x^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counting import catalan
 from .errors import IndexOutOfRange, NonzeroConstantTerm, OrderMismatch
+from .paths import _Value
 
 
 def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -40,20 +39,20 @@ def _zero_rows(order: int) -> list[list[int]]:
     return [[0] * (n + 1) for n in range(order + 1)]
 
 
-@dataclass(frozen=True)
-class BivariateSeries:
+class BivariateSeries(_Value):
     """Triangular integer coefficients (n, k), k <= n <= order, exact."""
 
-    order: int
-    coeffs: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"truncation order must be nonnegative, got {self.order}")
-        if len(self.coeffs) != self.order + 1 or any(
-            len(row) != n + 1 for n, row in enumerate(self.coeffs)
+    def __init__(self, order: int, coeffs: tuple[tuple[int, ...], ...]):
+        if order < 0:
+            raise ValueError(f"truncation order must be nonnegative, got {order}")
+        if len(coeffs) != order + 1 or any(
+            len(row) != n + 1 for n, row in enumerate(coeffs)
         ):
             raise ValueError("coefficient rows must form a triangle of height order+1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coefficient(self, n: int, k: int) -> int:
         """The coefficient of t^k x^n; 0 outside the triangle k <= n."""
@@ -92,16 +91,6 @@ class BivariateSeries:
                         if c2:
                             target[k1 + k2] += c1 * c2
         return BivariateSeries(d, _freeze(rows))
-
-
-def zero(order: int) -> BivariateSeries:
-    return BivariateSeries(order, _freeze(_zero_rows(order)))
-
-
-def one(order: int) -> BivariateSeries:
-    rows = _zero_rows(order)
-    rows[0][0] = 1
-    return BivariateSeries(order, _freeze(rows))
 
 
 def catalan_series(order: int) -> BivariateSeries:

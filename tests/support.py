@@ -2,8 +2,8 @@
 
 from itertools import accumulate, product
 
-from chungfeller.bijection import phi_plus
-from chungfeller.series import one
+from chungfeller import BivariateSeries, LatticePath, enumerate_balanced, negativity
+from chungfeller.bijection import _last_prime, phi_plus
 
 
 def chi_square(observed, classes, draws):
@@ -88,3 +88,39 @@ def shuffle_by_randbelow(rng, items):
     for i in range(len(items) - 1, 0, -1):
         j = rng.randbelow(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def heights(path):
+    """Height profile h(0..len): h(0) = 0, h(i) = h(i-1) + step_i."""
+    return list(accumulate(path.steps, initial=0))
+
+
+def paths_by_negativity(n):
+    """The classes themselves: k -> all paths of class (n, k), in order."""
+    classes = {k: [] for k in range(n + 1)}
+    for path in enumerate_balanced(n):
+        classes[negativity(path)].append(path)
+    return classes
+
+
+def zero(order):
+    """The zero series truncated at `order`."""
+    return BivariateSeries(order, tuple((0,) * (n + 1) for n in range(order + 1)))
+
+
+def one(order):
+    """The series 1 truncated at `order`."""
+    return BivariateSeries(order, ((1,),) + zero(order).coeffs[1:])
+
+
+def factor_last_prime(path, sign):
+    """(s, prefix, inner, suffix) with path = prefix + s + inner + (-s) + suffix,
+    around the last prime of sign `sign`, as the bijection splits it."""
+    start, end = _last_prime(path, sign)
+    steps = path.steps
+    return (
+        steps[start],
+        LatticePath(steps[:start]),
+        LatticePath(steps[start + 1 : end - 1]),
+        LatticePath(steps[end:]),
+    )

@@ -22,7 +22,6 @@ from chungfeller import (
     negativity,
     nonpositive_count_at_rank,
     partition_by_negativity,
-    paths_by_negativity,
     phi_minus,
     phi_plus,
     rank_order,
@@ -33,7 +32,12 @@ from chungfeller import (
     sample_dyck,
     sample_k_negative,
 )
-from support import all_pm1_sequences, chi_square, dominating_shifts_by_rotation
+from support import (
+    all_pm1_sequences,
+    chi_square,
+    dominating_shifts_by_rotation,
+    paths_by_negativity,
+)
 
 # 0.999 chi-square quantiles
 CHI2_13DF = 34.53

@@ -8,29 +8,32 @@ from chungfeller import (
     DOWN,
     UP,
     IndexOutOfRange,
+    LatticePath,
     NoNegativePrime,
     NoPositivePrime,
     NotDyckPath,
     RandomSource,
     bijection,
     enumerate_balanced,
-    factor_last_negative_prime,
-    factor_last_positive_prime,
     is_dyck,
     lift,
     negativity,
     parse_path,
-    paths_by_negativity,
     phi_minus,
     phi_plus,
     render_path,
     sample_dyck,
 )
-from support import lift_by_phi_plus
+from support import factor_last_prime, lift_by_phi_plus, paths_by_negativity
 
 
 def _triple(f):
-    return (render_path(f.prefix), render_path(f.inner), render_path(f.suffix))
+    return tuple(render_path(piece) for piece in f[1:])
+
+
+def _reassemble(f):
+    sign, prefix, inner, suffix = f
+    return LatticePath(prefix.steps + (sign,) + inner.steps + (-sign,) + suffix.steps)
 
 
 class TestPositiveFactorization:
@@ -43,15 +46,15 @@ class TestPositiveFactorization:
         ],
     )
     def test_examples(self, text, expected):
-        f = factor_last_positive_prime(parse_path(text))
+        f = factor_last_prime(parse_path(text), UP)
         assert _triple(f) == expected
-        assert f.reassemble() == parse_path(text)
+        assert _reassemble(f) == parse_path(text)
 
     def test_no_positive_prime(self):
         with pytest.raises(NoPositivePrime):
-            factor_last_positive_prime(parse_path("DDUU"))
+            factor_last_prime(parse_path("DDUU"), UP)
         with pytest.raises(NoPositivePrime):
-            factor_last_positive_prime(parse_path(""))
+            factor_last_prime(parse_path(""), UP)
 
 
 class TestNegativeFactorization:
@@ -63,13 +66,13 @@ class TestNegativeFactorization:
         ],
     )
     def test_examples(self, text, expected):
-        f = factor_last_negative_prime(parse_path(text))
+        f = factor_last_prime(parse_path(text), DOWN)
         assert _triple(f) == expected
-        assert f.reassemble() == parse_path(text)
+        assert _reassemble(f) == parse_path(text)
 
     def test_no_negative_prime(self):
         with pytest.raises(NoNegativePrime):
-            factor_last_negative_prime(parse_path("UUDD"))
+            factor_last_prime(parse_path("UUDD"), DOWN)
 
 
 def _is_negative_dyck(path):
@@ -83,17 +86,17 @@ def test_split_shapes(n):
     for path in enumerate_balanced(n):
         k = negativity(path)
         if k < n:
-            f = factor_last_positive_prime(path)
-            assert f.sign == UP
-            assert negativity(f.inner) == 0
-            assert _is_negative_dyck(f.suffix)
-            assert f.reassemble() == path
+            f = sign, _, inner, suffix = factor_last_prime(path, UP)
+            assert sign == UP
+            assert negativity(inner) == 0
+            assert _is_negative_dyck(suffix)
+            assert _reassemble(f) == path
         if k > 0:
-            f = factor_last_negative_prime(path)
-            assert f.sign == DOWN
-            assert _is_negative_dyck(f.inner)
-            assert negativity(f.suffix) == 0
-            assert f.reassemble() == path
+            f = sign, _, inner, suffix = factor_last_prime(path, DOWN)
+            assert sign == DOWN
+            assert _is_negative_dyck(inner)
+            assert negativity(suffix) == 0
+            assert _reassemble(f) == path
 
 
 class TestPhiMaps:

@@ -478,11 +478,15 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("fmt,loaded", [("text", "False"), ("json", "True")])
 def test_json_is_imported_only_for_json_output(fmt, loaded):
+    # json only under --format json; dataclasses, and inspect through it,
+    # cost more start-up time than the rest of the package, and no format
+    # may load them
     script = (
         "import sys\n"
         "from chungfeller import cli\n"
         f"cli.run(['count', '--n', '2', '--format', '{fmt}'])\n"
-        "print('json' in sys.modules, file=sys.stderr)\n"
+        "print(*(name in sys.modules for name in ('json', 'dataclasses', 'inspect')),"
+        " file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -490,4 +494,4 @@ def test_json_is_imported_only_for_json_output(fmt, loaded):
         capture_output=True,
         text=True,
     )
-    assert (proc.returncode, proc.stderr) == (0, f"{loaded}\n")
+    assert (proc.returncode, proc.stderr) == (0, f"{loaded} False False\n")

@@ -17,9 +17,9 @@ from chungfeller import (
     counting,
     enumerate_balanced,
     partition_by_negativity,
-    paths_by_negativity,
     render_path,
 )
+from support import paths_by_negativity
 
 
 def _dyck_count_by_filtering(n):

@@ -1,5 +1,8 @@
 """Path primitives: parsing, heights, negativity, prime factorization."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,16 +10,16 @@ from hypothesis import strategies as st
 from chungfeller import (
     DOWN,
     UP,
+    BivariateSeries,
+    CyclicSequence,
     IndexOutOfRange,
     InvalidCharacter,
     LatticePath,
     NotBalanced,
-    PathClass,
     RandomSource,
     count_recurrence,
     enumerate_balanced,
     factor_primes,
-    heights,
     is_dyck,
     lift,
     negativity,
@@ -28,6 +31,8 @@ from chungfeller import (
     sample_dyck,
     sample_k_negative,
 )
+from chungfeller.paths import check_class
+from support import heights
 
 ud_text = st.text(alphabet="UD", max_size=16)
 
@@ -64,6 +69,39 @@ class TestParseRender:
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):
             LatticePath((1, 2))
+
+
+_VALUES = {
+    "LatticePath": (lambda: LatticePath((1, -1)), "steps", "LatticePath(steps=(1, -1))"),
+    "CyclicSequence": (
+        lambda: CyclicSequence((1, -1)),
+        "terms",
+        "CyclicSequence(terms=(1, -1))",
+    ),
+    "BivariateSeries": (
+        lambda: BivariateSeries(1, ((1,), (0, 2))),
+        "coeffs",
+        "BivariateSeries(order=1, coeffs=((1,), (0, 2)))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_type_contract(name):
+    make, field, text = _VALUES[name]
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert make() == value
+    assert hash(make()) == hash(value)
+    # equal fields do not make values of different classes equal, as
+    # LatticePath((1, -1)) != CyclicSequence((1, -1))
+    assert all(value != other() for other, _, _ in _VALUES.values() if other is not make)
+    assert repr(value) == text
+    assert copy.copy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestHeights:
@@ -136,25 +174,18 @@ class TestIsDyck:
 
 
 class TestPathClass:
-    def test_of_and_contains(self):
-        path = parse_path("DUUD")
-        cls = PathClass.of(path)
-        assert (cls.n, cls.k) == (2, 1)
-        assert cls.contains(path)
-        assert not cls.contains(parse_path("UUDD"))
-
     def test_invalid(self):
         with pytest.raises(ValueError):
-            PathClass(2, 3)
+            check_class(2, 3)
 
     @pytest.mark.parametrize(
         "make",
         [
-            PathClass,
+            check_class,
             count_recurrence,
             lambda n, k: sample_k_negative(n, k, RandomSource(0)),
         ],
-        ids=["PathClass", "count_recurrence", "sample_k_negative"],
+        ids=["check_class", "count_recurrence", "sample_k_negative"],
     )
     @pytest.mark.parametrize("n,k", [(2, 3), (2, -1), (-1, 0)])
     def test_invalid_is_one_domain_error(self, make, n, k):

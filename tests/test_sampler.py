@@ -12,7 +12,6 @@ from chungfeller import (
     RandomSource,
     is_dyck,
     negativity,
-    paths_by_negativity,
     render_path,
     sample_balanced,
     sample_dyck,
@@ -20,6 +19,7 @@ from chungfeller import (
 )
 from support import (
     chi_square,
+    paths_by_negativity,
     randbelow_by_scalar,
     shuffle_by_randbelow,
     splitmix64_by_scalar,

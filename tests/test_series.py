@@ -20,8 +20,7 @@ from chungfeller import (
     prime_series_neg,
     prime_series_pos,
 )
-from chungfeller.series import one, zero
-from support import geometric_inverse_by_horner
+from support import geometric_inverse_by_horner, one, zero
 
 
 def _build(order, entries):
