@@ -6,7 +6,8 @@ recurrence obtained by splitting a path at its first prime excursion.
 The recurrence is deliberately kept self-referential -- it counts class
 (n, k) in terms of smaller classes, not in terms of Catalan numbers --
 so its agreement with catalan(n) is a checkable fact rather than a
-built-in assumption.
+built-in assumption.  Catalan numbers enter it only as the coefficients
+C_0..C_{n-1} of its two sums.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from itertools import combinations
+from operator import mul
 
 from .errors import BoundExceeded, IndexOutOfRange
 from .paths import DOWN, UP, LatticePath, check_class, check_half_length, negativity
@@ -24,11 +26,17 @@ from .paths import DOWN, UP, LatticePath, check_class, check_half_length, negati
 DEFAULT_ENUMERATION_BOUND = 12
 
 _catalan_table: list[int] = [1]
-_recurrence_rows: list[list[int]] = [[1]]
+# (columns, diagonals): two views of the same N(n, k) ints, with
+# columns[k] = [N(k, k), N(k+1, k), ...] and diagonals[d] = [N(d, 0), N(d+1, 1), ...].
+# One global, so a reader never pairs new columns with old diagonals.
+_recurrence_views: tuple[list[list[int]], list[list[int]]] = ([[1]], [[1]])
 
 
 def catalan(n: int) -> int:
-    """n-th Catalan number via the convolution recurrence, memoized."""
+    """n-th Catalan number via the convolution recurrence, memoized.
+
+    Each new term is one dot product of the table with its own reverse.
+    """
     global _catalan_table
     if n < 0:
         raise IndexOutOfRange(f"catalan index must be nonnegative, got {n}")
@@ -37,8 +45,7 @@ def catalan(n: int) -> int:
         # extend a copy and swap: concurrent callers each see a complete table
         table = list(table)
         while len(table) <= n:
-            m = len(table)
-            table.append(sum(table[i] * table[m - 1 - i] for i in range(m)))
+            table.append(sum(map(mul, table, reversed(table))))
         _catalan_table = table
     return table[n]
 
@@ -90,20 +97,34 @@ def count_recurrence(n: int, k: int) -> int:
 
         N(n, k) = sum_{p=1..n-k} C_{p-1} N(n-p, k)
                 + sum_{q=1..k}   C_{q-1} N(n-q, k-q),    N(0, 0) = 1.
+
+    The p-sum runs down column k and the q-sum down diagonal n-k, so the
+    memo keeps both as lists (see _recurrence_views) and each sum is one
+    dot product, sum(map(mul, ...)), evaluated in C.  Rows 0..n cost
+    n(n+1)(n+2)/3 ~ n^3/3 big-integer products, m of them for each entry
+    of row m.
     """
-    global _recurrence_rows
+    global _recurrence_views
     check_class(n, k)
-    rows = _recurrence_rows
-    if len(rows) <= n:
-        rows = list(rows)
+    columns, diagonals = _recurrence_views
+    if len(columns) <= n:
+        # extend copies of every list and swap, as in catalan
+        columns = [list(column) for column in columns]
+        diagonals = [list(diagonal) for diagonal in diagonals]
         cat = [catalan(i) for i in range(n)]
-        while len(rows) <= n:
-            m = len(rows)
-            row = []
-            for j in range(m + 1):
-                total = sum(cat[p - 1] * rows[m - p][j] for p in range(1, m - j + 1))
-                total += sum(cat[q - 1] * rows[m - q][j - q] for q in range(1, j + 1))
-                row.append(total)
-            rows.append(row)
-        _recurrence_rows = rows
-    return rows[n][k]
+        while len(columns) <= n:
+            m = len(columns)
+            columns.append([])
+            diagonals.append([])
+            # before row m, column j ends at N(m-1, j) and diagonal m-j at
+            # N(m-1, j-1): reversed, each lines up with C_0, C_1, ...
+            row = [
+                sum(map(mul, cat, reversed(columns[j])))
+                + sum(map(mul, cat, reversed(diagonals[m - j])))
+                for j in range(m + 1)
+            ]
+            for j, count in enumerate(row):
+                columns[j].append(count)
+                diagonals[m - j].append(count)
+        _recurrence_views = columns, diagonals
+    return columns[k][n - k]

@@ -123,14 +123,20 @@ def dominating_shifts(seq: CyclicSequence) -> tuple[int, ...]:
 
     They are the last positions at which s takes the levels low..low+k-1,
     low = min(s) (see the module docstring), in increasing order: the step
-    after the last visit to a level v reaches v+1.
+    after the last visit to a level v reaches v+1.  So one scan of the
+    reversed sums, from the top level down, finds them all in O(L + k).
     """
     k = seq.total
     if k <= 0:
         raise NonPositiveSum(f"sequence sum must be positive, got {k}")
-    last = {height: p for p, height in enumerate(seq._sums)}
-    low = min(seq._sums)
-    return tuple(last[v] for v in range(low, low + k))
+    rev = seq._sums[::-1]
+    low = min(rev)
+    shifts = []
+    start = 0
+    for v in range(low + k - 1, low - 1, -1):
+        start = rev.index(v, start)
+        shifts.append(len(seq) - start)
+    return tuple(reversed(shifts))
 
 
 def nonpositive_count_at_rank(seq: CyclicSequence, i: int) -> int:

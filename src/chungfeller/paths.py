@@ -94,7 +94,7 @@ def parse(text: str, alphabet: str) -> tuple[int, ...]:
 def render(steps: tuple[int, ...], alphabet: str) -> str:
     """Exact inverse of parse."""
     char_of = {UP: alphabet[0], DOWN: alphabet[1]}
-    return "".join(char_of[step] for step in steps)
+    return "".join(map(char_of.__getitem__, steps))
 
 
 class LatticePath(_Value):

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+from functools import cache
 from itertools import accumulate, product
 
 from chungfeller import BivariateSeries, LatticePath, enumerate_balanced, negativity
@@ -43,6 +45,29 @@ def geometric_inverse_by_horner(u):
     for _ in range(u.order):
         v = one(u.order) + u * v
     return v
+
+
+def count_recurrence_by_definition(n, k):
+    """Recurrence oracle: N(n, k) by one generator sum per term.
+
+    Builds its own rows 0..n, independently of the memo and the column and
+    diagonal views in counting, with Catalan coefficients by closed form.
+    """
+    return _recurrence_rows_by_definition(n)[n][k]
+
+
+@cache
+def _recurrence_rows_by_definition(n):
+    cat = [math.comb(2 * i, i) // (i + 1) for i in range(n)]
+    rows = [[1]]
+    for m in range(1, n + 1):
+        row = []
+        for j in range(m + 1):
+            total = sum(cat[p - 1] * rows[m - p][j] for p in range(1, m - j + 1))
+            total += sum(cat[q - 1] * rows[m - q][j - q] for q in range(1, j + 1))
+            row.append(total)
+        rows.append(row)
+    return rows
 
 
 def lift_by_phi_plus(path, k):

@@ -4,6 +4,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chungfeller import (
     DOWN,
@@ -19,7 +21,7 @@ from chungfeller import (
     partition_by_negativity,
     render_path,
 )
-from support import paths_by_negativity
+from support import count_recurrence_by_definition, paths_by_negativity
 
 
 def _dyck_count_by_filtering(n):
@@ -124,6 +126,12 @@ class TestPartition:
         assert len(seen) == len(set(seen)) == central_binomial(4)
 
 
+def cold(monkeypatch):
+    """Empty the recurrence and Catalan memos for the rest of the test."""
+    monkeypatch.setattr(counting, "_recurrence_views", ([[1]], [[1]]))
+    monkeypatch.setattr(counting, "_catalan_table", [1])
+
+
 class TestCountRecurrence:
     def test_base(self):
         assert count_recurrence(0, 0) == 1
@@ -139,19 +147,36 @@ class TestCountRecurrence:
         assert count_recurrence(6, 6) == catalan(6) == 132
 
     def test_cold_memo_extends_like_one_build(self, monkeypatch):
-        # the memo grows in steps 0 -> 7 -> (3 hits the memo) -> 40; every
-        # row must equal a single cold build to 40
-        def cold():
-            monkeypatch.setattr(counting, "_recurrence_rows", [[1]])
-            monkeypatch.setattr(counting, "_catalan_table", [1])
-
-        cold()
+        # the memo grows in steps 0 -> 7 -> (3 hits the memo) -> 40; both
+        # views, so every N(n, k) with n <= 40, must equal a single cold
+        # build to 40
+        cold(monkeypatch)
         for n in (7, 3, 40):
             count_recurrence(n, 0)
-        stepwise = counting._recurrence_rows
-        cold()
+        stepwise = counting._recurrence_views
+        cold(monkeypatch)
         count_recurrence(40, 0)
-        assert stepwise == counting._recurrence_rows
+        assert stepwise == counting._recurrence_views
+
+    def test_cold_matches_definition(self, monkeypatch):
+        cold(monkeypatch)
+        for n in range(61):
+            for k in range(n + 1):
+                assert count_recurrence(n, k) == count_recurrence_by_definition(n, k)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        st.lists(
+            st.integers(0, 90).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_calls_in_any_order_match_definition(self, calls):
+        with pytest.MonkeyPatch.context() as mp:
+            cold(mp)
+            for n, k in calls:
+                assert count_recurrence(n, k) == count_recurrence_by_definition(n, k)
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, -1), (-1, 0)])
     def test_out_of_range(self, n, k):

@@ -193,6 +193,12 @@ class TestDominatingShifts:
         assert dominating_shifts(CyclicSequence(terms)) == oracle
         assert len(oracle) == sum(terms)
 
+    def test_all_up_terms_every_shift(self):
+        # k = L: every level 0..L-1 is last visited at its own position
+        length = 100_000
+        seq = CyclicSequence((1,) * length)
+        assert dominating_shifts(seq) == tuple(range(length))
+
 
 class TestNonpositiveCount:
     def test_singleton(self):
