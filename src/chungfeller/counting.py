@@ -3,6 +3,9 @@
 Three independent routes to the same numbers: brute-force enumeration
 (the ground-truth oracle), the Catalan numbers, and a two-term counting
 recurrence obtained by splitting a path at its first prime excursion.
+The enumeration classifies each path straight from its up positions
+a_0 < ... < a_{n-1}: the j-th up step is below the axis iff a_j > 2j, and
+the negativity is the number of such j (see partition_by_negativity).
 The recurrence is deliberately kept self-referential -- it counts class
 (n, k) in terms of smaller classes, not in terms of Catalan numbers --
 so its agreement with catalan(n) is a checkable fact rather than a
@@ -15,11 +18,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from itertools import combinations
-from operator import mul
+from itertools import combinations, repeat
+from operator import gt, mul
 
 from .errors import BoundExceeded, IndexOutOfRange
-from .paths import DOWN, UP, LatticePath, check_class, check_half_length, negativity
+from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 
 # C(24,12) = 2,704,156 paths; enumeration above this is almost certainly
 # a mistake, so it must be requested explicitly via `bound`.
@@ -65,10 +68,14 @@ def enumerate_balanced(
     i where the other has a larger up position, so its tuple comes first.
     Returns a lazy iterator; the bound is checked eagerly.
     """
+    _check_enumerable(n, bound)
+    return _balanced_paths(n)
+
+
+def _check_enumerable(n: int, bound: int) -> None:
     check_half_length(n)
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds the enumeration bound {bound}")
-    return _balanced_paths(n)
 
 
 def _balanced_paths(n: int) -> Iterator[LatticePath]:
@@ -82,9 +89,29 @@ def _balanced_paths(n: int) -> Iterator[LatticePath]:
 def partition_by_negativity(
     n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> dict[int, int]:
-    """Brute-force class sizes: k -> |S_k| for every k in 0..n, zeros included."""
-    counts = Counter(map(negativity, enumerate_balanced(n, bound=bound)))
+    """Brute-force class sizes: k -> |S_k| for every k in 0..n, zeros included.
+
+    Every balanced path, one per choice of its up positions a_0 < ... <
+    a_{n-1}, is classified without building it.  The j-th up step starts at
+    height j - (a_j - j) = 2j - a_j, so by the midpoint rule (h + h + 1 < 0)
+    it is below the axis iff a_j > 2j.  The below-axis steps of a balanced
+    path are exactly the steps of its negative primes, which hold as many
+    ups as downs, so the negativity is #{j : a_j > 2j}.
+    """
+    _check_enumerable(n, bound)
+    counts = Counter(_negativities(n))
     return {k: counts[k] for k in range(n + 1)}
+
+
+def _negativities(n: int) -> Iterator[int]:
+    """#{j : a_j > 2j} for each up-position tuple, in combinations order.
+
+    Nested map over C-level callables: no Python frame per path or step.
+    """
+    return map(
+        sum,
+        map(map, repeat(gt), combinations(range(2 * n), n), repeat(range(0, 2 * n, 2))),
+    )
 
 
 def count_recurrence(n: int, k: int) -> int:

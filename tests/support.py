@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+from collections import Counter
 from functools import cache
 from itertools import accumulate, product
 
@@ -118,6 +119,41 @@ def shuffle_by_randbelow(rng, items):
 def heights(path):
     """Height profile h(0..len): h(0) = 0, h(i) = h(i-1) + step_i."""
     return list(accumulate(path.steps, initial=0))
+
+
+def partition_by_definition(n):
+    """Partition oracle: k -> |S_k|, zeros included, by building every path
+    and scanning its steps with negativity, independently of the up-position
+    rule in counting.partition_by_negativity."""
+    counts = Counter(map(negativity, enumerate_balanced(n)))
+    return {k: counts[k] for k in range(n + 1)}
+
+
+def count_by_steps(n):
+    """Definition oracle past the enumeration bound: counts[b] is the number
+    of balanced paths of length 2n with b below-axis steps, b = 0..2n.
+
+    One left-to-right pass over the 2n steps keeps, for each height h, a
+    polynomial in t whose t^b coefficient counts the prefixes that end at h
+    with b below-axis steps; heights that cannot return to 0 are dropped.  A
+    step from a to b multiplies by t iff a + b < 0, the midpoint rule itself.
+    Each polynomial is one int with slots of 2n + 2 bits (Kronecker
+    substitution): every count is below 4^n, so no slot carries into the
+    next, a step below the axis is a shift and each transition one addition.
+    Imports nothing from the package and reads no Catalan number.
+    """
+    width = 2 * n + 2
+    polys = {0: 1}
+    for i in range(1, 2 * n + 1):
+        reach = min(i, 2 * n - i)
+        after = {}
+        for a, poly in polys.items():
+            for b in (a + 1, a - 1):
+                if abs(b) <= reach:
+                    after[b] = after.get(b, 0) + (poly << width if a + b < 0 else poly)
+        polys = after
+    mask = (1 << width) - 1
+    return [polys[0] >> (b * width) & mask for b in range(2 * n + 1)]
 
 
 def paths_by_negativity(n):

@@ -1,7 +1,7 @@
 """Counting: Catalan numbers, brute-force enumeration, and the recurrence."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +18,17 @@ from chungfeller import (
     cli,
     counting,
     enumerate_balanced,
+    n_series,
+    negativity,
     partition_by_negativity,
     render_path,
 )
-from support import count_recurrence_by_definition, paths_by_negativity
+from support import (
+    count_by_steps,
+    count_recurrence_by_definition,
+    partition_by_definition,
+    paths_by_negativity,
+)
 
 
 def _dyck_count_by_filtering(n):
@@ -111,8 +118,35 @@ class TestPartition:
     def test_empty_classes_are_listed(self, monkeypatch):
         # the table has every k in 0..n whatever the classifier says, so a
         # broken classifier shows as wrong counts, not as missing keys
-        monkeypatch.setattr(counting, "negativity", lambda path: 0)
+        monkeypatch.setattr(counting, "_negativities", lambda n: [0] * 6)
         assert partition_by_negativity(2) == {0: 6, 1: 0, 2: 0}
+
+    def test_matches_definition(self):
+        # the up-position rule against building every path and scanning it
+        for n in range(11):
+            assert partition_by_negativity(n) == partition_by_definition(n)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_up_position_rule_per_path(self, n):
+        # enumerate_balanced yields the paths in the combinations order of
+        # their up positions, so the two streams pair path with path
+        rule = counting._negativities(n)
+        wrong = [
+            ups
+            for ups, path, k in zip(
+                combinations(range(2 * n), n), enumerate_balanced(n), rule, strict=True
+            )
+            if negativity(path) != k
+        ]
+        assert wrong == []
+
+    def test_bound_checked_eagerly(self):
+        with pytest.raises(BoundExceeded, match="n=13 exceeds the enumeration bound 12"):
+            partition_by_negativity(13)
+        with pytest.raises(BoundExceeded):
+            partition_by_negativity(3, bound=2)
+        with pytest.raises(IndexOutOfRange, match="half-length must be nonnegative"):
+            partition_by_negativity(-1)
 
     def test_to_lines(self, capsys):
         # the brute-force table as written by the CLI: one "k<TAB>count" line
@@ -124,6 +158,26 @@ class TestPartition:
         assert sorted(len(v) for v in classes.values()) == [14] * 5
         seen = [p for paths in classes.values() for p in paths]
         assert len(seen) == len(set(seen)) == central_binomial(4)
+
+
+class TestCountBySteps:
+    # count_by_steps walks the steps with the midpoint rule and shares no
+    # code with enumeration, recurrence or series
+
+    def test_odd_below_counts_are_empty(self):
+        for n in range(30):
+            assert count_by_steps(n)[1::2] == [0] * n
+
+    def test_matches_brute_force(self):
+        for n in range(11):
+            assert dict(enumerate(count_by_steps(n)[::2])) == partition_by_negativity(n)
+
+    def test_matches_recurrence_and_series_past_the_bound(self):
+        series = n_series(200)
+        for n in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200):
+            by_steps = count_by_steps(n)[::2]
+            assert by_steps == [count_recurrence(n, k) for k in range(n + 1)]
+            assert by_steps == [series.coefficient(n, k) for k in range(n + 1)]
 
 
 def cold(monkeypatch):
