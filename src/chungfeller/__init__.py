@@ -62,7 +62,6 @@ from .paths import (
 from .sampler import RandomSource, sample_balanced, sample_dyck, sample_k_negative
 from .series import (
     BivariateSeries,
-    catalan_series,
     geometric_inverse,
     n_series,
     prime_series_neg,

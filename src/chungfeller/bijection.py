@@ -27,19 +27,41 @@ sign: prefix = steps[:start], inner = steps[start+1:end-1] and suffix =
 steps[end:].
 
 lift applies phi_plus k times to a Dyck path of half-length n in
-O(n + k) steps in all, instead of rebuilding the path k times.  By
-induction, every positive prime of an iterate is an untouched range
-[a, b) of the input whose U at a is matched by the D at b-1: phi_plus
-only wraps the suffix, which holds negative primes alone, into one new
-negative prime D + suffix + U, and lifts the top-level primes of the
-inner range [a+1, b-1) to the top level.  So lift builds the match
-array once, keeps the iterate as a stack of top-level blocks (positive
-ranges and negative nodes), and performs each phi_plus as one stack
-operation: pop the trailing negative blocks, pop the last positive
-range, push a negative node over the popped blocks, push the top-level
-primes of the opened range.  Each input range is opened at most once
-and each negative node is popped at most once; one flatten at the end
-builds the LatticePath.
+O(n + k) steps in all, instead of rebuilding the path k times.
+
+*phi_plus opens the pair of the last unopened down-step.*  Call a U...D
+pair of the input opened once phi_plus has split it into prefix + D and
+U + inner.  Every negative prime of an iterate holds opened steps only
+(its suffix holds negative primes only), so every unopened step lies in a
+positive prime, and the last positive prime ends with the last unopened
+D.  phi_plus keeps the unopened steps in their input order (those of
+prefix, then those of inner; suffix has none), so the pair it opens is
+the pair of the last unopened down-step of the input, and k-fold
+phi_plus opens the pairs of the last k down-steps.
+
+*The prime decomposition.*  Let d = P_1...P_r be the top-level primes
+of the Dyck path, |.| the half-length, j the largest index with
+|P_j...P_r| >= k >= 1, P_j = U + A + D and F = P_{j+1}...P_r, so
+|F| < k.  The last k down-steps are the |F| down-steps of F, the last
+step of P_j and the last k - 1 - |F| down-steps of A.  phi_plus of
+P_1...P_j + X is P_1...P_j + phi_plus(X) while X, a balanced path,
+still has a positive prime, so opening F first leaves it a negative
+path G(F), P_j is then the last positive prime and wraps G(F) as its
+suffix, and the top-level primes of A are last from then on:
+
+    lift(d, k) = P_1...P_{j-1} + D + G(F) + U + lift(A, k - 1 - |F|).
+
+G(F) = lift(F, |F|).  For F = Q_1...Q_s with Q_i = U + B_i + D the
+formula at k = |F| gives j = 1 and G(Q_1...Q_s) = D + G(Q_2...Q_s) + U
++ G(B_1), which unrolls to
+
+    G(Q_1...Q_s) = D^s + U + G(B_s) + U + G(B_{s-1}) ... + U + G(B_1),
+
+i.e. D^{c(root)} followed by U + D^{c(v)} for each node v of the forest
+in decreasing order of its down-step, c counting children.  lift builds
+the match array of the input once and walks the top-level primes of a
+range leftwards through it; each walked prime either is P_j, which the
+next round descends into, or belongs to F, which G writes out once.
 """
 
 from __future__ import annotations
@@ -80,59 +102,70 @@ def phi_minus(path: LatticePath) -> LatticePath:
     return _move_last_prime(path, DOWN)
 
 
-def _children(ends: list[int], start: int, stop: int) -> list[int]:
-    """Starts of the top-level primes of the Dyck range steps[start:stop]."""
-    starts = []
-    while start < stop:
-        starts.append(start)
-        start = ends[start]
-    return starts
+def _lift_forest(opener: list[int], start: int, stop: int, lifted: list[int]) -> None:
+    """Append G(steps[start:stop]), the full lift of a Dyck range, to lifted.
+
+    opener[i] is the up-step that the down-step at i closes.  The
+    interiors B_i nest up to n deep, so the recursion of the module
+    docstring runs on an explicit stack of ranges.
+    """
+    pending: list[tuple[int, int]] = []
+    while True:
+        interiors = []
+        while stop > start:  # top-level primes, right to left
+            first = opener[stop - 1]
+            interiors.append((first + 1, stop - 1))
+            stop = first
+        lifted += [DOWN] * len(interiors)
+        interiors.reverse()
+        pending += interiors
+        if not pending:
+            return
+        start, stop = pending.pop()
+        lifted.append(UP)
+
+
+def _lift(steps, k: int) -> list[int]:
+    """The steps of lift(LatticePath(steps), k), with neither input checked.
+
+    steps must be a Dyck path of half-length n and 0 <= k <= n.
+    """
+    # the match array: opener[i] is the up-step that the down-step at i closes
+    opener = [0] * len(steps)
+    opened = []
+    for i, step in enumerate(steps):
+        if step == UP:
+            opened.append(i)
+        else:
+            opener[i] = opened.pop()
+    lifted: list[int] = []
+    start, stop = 0, len(steps)
+    while k:
+        # walk back from the last top-level prime of steps[start:stop] to
+        # P_j = steps[first:end]; F = steps[end:stop] has half-length size
+        end, size = stop, 0
+        first = opener[end - 1]
+        while size + (end - first) // 2 < k:
+            size += (end - first) // 2
+            end = first
+            first = opener[end - 1]
+        lifted += steps[start:first]
+        lifted.append(DOWN)
+        _lift_forest(opener, end, stop, lifted)
+        lifted.append(UP)
+        k -= 1 + size
+        start, stop = first + 1, end - 1
+    lifted += steps[start:stop]
+    return lifted
 
 
 def lift(path: LatticePath, k: int) -> LatticePath:
     """k-fold phi_plus: carries a Dyck path to class (n, k) bijectively.
 
     Returns the path of k successive phi_plus calls, in O(n + k) steps
-    by the block stack of the module docstring.  A block is the start a
-    of a positive range [a, ends[a]) of the input, or a negative node ~j,
-    the prime D + negatives[j] + U.
+    by the prime decomposition of the module docstring.
     """
     if not is_dyck(path):
         raise NotDyckPath("lift requires a Dyck path")
     check_class(path.half_length, k)
-    steps = path.steps
-    # ends[a] = one past the down-step matching the up-step at a
-    ends = [0] * len(steps)
-    opened = []
-    for i, step in enumerate(steps):
-        if step == UP:
-            opened.append(i)
-        else:
-            ends[opened.pop()] = i + 1
-    blocks = _children(ends, 0, len(steps))
-    negatives: list[list[int]] = []
-    for _ in range(k):
-        # suffix = the trailing negative blocks; k <= n leaves a positive one
-        cut = len(blocks) - 1
-        while blocks[cut] < 0:
-            cut -= 1
-        start = blocks[cut]
-        negatives.append(blocks[cut + 1 :])
-        del blocks[cut:]
-        blocks.append(~(len(negatives) - 1))
-        blocks += _children(ends, start + 1, ends[start] - 1)
-    # negative nodes nest up to k deep: flatten with an explicit stack,
-    # where None stands for the up-step that closes a negative node
-    lifted: list[int] = []
-    pending: list[int | None] = blocks[::-1]
-    while pending:
-        block = pending.pop()
-        if block is None:
-            lifted.append(UP)
-        elif block >= 0:
-            lifted += steps[block : ends[block]]
-        else:
-            lifted.append(DOWN)
-            pending.append(None)
-            pending += reversed(negatives[~block])
-    return LatticePath(lifted)
+    return LatticePath(_lift(path.steps, k))

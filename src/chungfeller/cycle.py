@@ -139,6 +139,17 @@ def dominating_shifts(seq: CyclicSequence) -> tuple[int, ...]:
     return tuple(reversed(shifts))
 
 
+def _unit_shift(terms) -> int:
+    """The dominating shift of +-1 terms with sum 1, the sum unchecked.
+
+    dominating_shifts on raw terms, for k = 1: the last position at which
+    the partial sums reach their minimum.
+    """
+    rev = list(accumulate(terms, initial=0))
+    rev.reverse()
+    return len(terms) - rev.index(min(rev))
+
+
 def nonpositive_count_at_rank(seq: CyclicSequence, i: int) -> int:
     """Number of positions with nonpositive prefix sum in the m_i-th rotation.
 

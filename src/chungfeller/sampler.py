@@ -10,6 +10,12 @@ of candidate paths.  Class (n, k) is sampled by lifting a uniform Dyck
 path with the k-fold negativity-raising bijection, which bijection.lift
 applies in O(n + k) steps, so both samplers are linear in n.
 
+A draw works on plain step lists: the shift is read off the raw
+arrangement by cycle's rule for sum 1, and the rotated steps go to the
+unchecked core of bijection.lift.  The steps are valid by construction,
+so the LatticePath a draw returns is the only value it builds and the
+only validation it pays.
+
 Randomness comes from splitmix64, a fixed, publicly specified 64-bit
 generator, so identical seeds give identical streams on any platform.
 splitmix64 is counter-based: word i of the stream for seed s is
@@ -20,16 +26,17 @@ low half; the high half is room for the 64 x 64-bit products of the mix
 and is masked off before each shift and multiply.  The low halves are
 read out in explicit little-endian order, so the stream does not depend
 on the platform's byte order and is word for word the one the scalar
-definition gives.
+definition gives.  RandomSource chains the blocks into one word stream.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Iterator
+from itertools import chain
 
-from .bijection import lift
-from .cycle import CyclicSequence, dominating_shifts
+from .bijection import _lift
+from .cycle import _unit_shift
 from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 
 _MASK64 = (1 << 64) - 1
@@ -40,8 +47,8 @@ _BLOCK = 256  # words per kernel call
 _LANE = 16  # bytes per lane: a 64-bit word and room for its products
 
 
-def _splitmix64(state: int) -> Iterator[int]:
-    """The splitmix64 stream after `state`, computed a block at a time.
+def _splitmix64(state: int) -> Iterator[tuple[int, ...]]:
+    """The splitmix64 stream after `state`, as tuples of 256 words.
 
     Lane i of a block holds the counter state + (i+1)*gamma.  Each step
     of the mix is one operation on the whole block: the shifts carry bits
@@ -63,24 +70,26 @@ def _splitmix64(state: int) -> Iterator[int]:
         z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
         z ^= z >> 31  # no mask: the readout skips the high halves
         state = (state + _BLOCK * _GAMMA) & _MASK64
-        yield from unpack(z.to_bytes(_BLOCK * _LANE, "little"))
+        yield unpack(z.to_bytes(_BLOCK * _LANE, "little"))
 
 
 class RandomSource:
     """splitmix64 stream with unbiased bounded draws and shuffling.
 
-    The words come from one block generator (see `_splitmix64`), so
-    `next_uint64`, `randbelow` and `shuffle` share a single stream in
-    call order, exactly the stream of the scalar definition.  The source
-    holds a running generator: it cannot be copied or pickled, and it is
-    not safe to share between concurrent tasks; derive one source per
-    task from distinct seeds instead.
+    The words come from one block generator (see `_splitmix64`), read
+    through `chain.from_iterable`, so a word is read at C level and the
+    generator runs once per 256 words.  `next_uint64`, `randbelow` and
+    `shuffle` share this single stream in call order, exactly the stream
+    of the scalar definition.  The source holds a running generator: it
+    cannot be copied or pickled, and it is not safe to share between
+    concurrent tasks; derive one source per task from distinct seeds
+    instead.
     """
 
     def __init__(self, seed: int):
         if not (isinstance(seed, int) and 0 <= seed <= _MASK64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        self._words = _splitmix64(seed)
+        self._words = chain.from_iterable(_splitmix64(seed))
 
     def next_uint64(self) -> int:
         return next(self._words)
@@ -115,23 +124,27 @@ class RandomSource:
             items[i], items[j] = items[j], items[i]
 
 
-def sample_dyck(n: int, rng: RandomSource) -> LatticePath:
-    """Uniform random Dyck path of half-length n."""
-    check_half_length(n)
+def _dyck_steps(n: int, rng: RandomSource) -> list[int]:
+    """The steps of a uniform random Dyck path of half-length n >= 0."""
     arrangement = [UP] * (n + 1) + [DOWN] * n
     rng.shuffle(arrangement)
-    seq = CyclicSequence(arrangement)
     # the sum is 1, so there is one dominating shift; its rotation starts
     # with an up-step, and dropping it leaves a path that never dips below
     # the axis
-    shift = dominating_shifts(seq)[0]
-    return LatticePath(seq.terms[shift + 1 :] + seq.terms[:shift])
+    shift = _unit_shift(arrangement)
+    return arrangement[shift + 1 :] + arrangement[:shift]
+
+
+def sample_dyck(n: int, rng: RandomSource) -> LatticePath:
+    """Uniform random Dyck path of half-length n."""
+    check_half_length(n)
+    return LatticePath(_dyck_steps(n, rng))
 
 
 def sample_k_negative(n: int, k: int, rng: RandomSource) -> LatticePath:
     """Uniform random path of class (n, k), via the lifting bijection."""
     check_class(n, k)
-    return lift(sample_dyck(n, rng), k)
+    return LatticePath(_lift(_dyck_steps(n, rng), k))
 
 
 def sample_balanced(n: int, rng: RandomSource) -> LatticePath:

@@ -93,14 +93,6 @@ class BivariateSeries(_Value):
         return BivariateSeries(d, _freeze(rows))
 
 
-def catalan_series(order: int) -> BivariateSeries:
-    """c(x): coefficient of x^n is C_n (pure x, no t)."""
-    rows = _zero_rows(order)
-    for n in range(order + 1):
-        rows[n][0] = catalan(n)
-    return BivariateSeries(order, _freeze(rows))
-
-
 def prime_series_pos(order: int) -> BivariateSeries:
     """x*c(x): coefficient of x^n is C_{n-1}, counting positive primes."""
     rows = _zero_rows(order)

@@ -5,7 +5,13 @@ from collections import Counter
 from functools import cache
 from itertools import accumulate, product
 
-from chungfeller import BivariateSeries, LatticePath, enumerate_balanced, negativity
+from chungfeller import (
+    BivariateSeries,
+    LatticePath,
+    catalan,
+    enumerate_balanced,
+    negativity,
+)
 from chungfeller.bijection import _last_prime, phi_plus
 
 
@@ -75,7 +81,7 @@ def lift_by_phi_plus(path, k):
     """Lift oracle: the k-fold phi_plus loop, rescanning the path each time.
 
     Applies the bijection's definition literally, independently of the
-    block stack in bijection.lift.
+    prime decomposition in bijection.lift.
     """
     for _ in range(k):
         path = phi_plus(path)
@@ -162,6 +168,11 @@ def paths_by_negativity(n):
     for path in enumerate_balanced(n):
         classes[negativity(path)].append(path)
     return classes
+
+
+def catalan_series(order):
+    """c(x): coefficient of x^n is C_n (pure x, no t), for the identity tests."""
+    return BivariateSeries(order, tuple((catalan(n),) + (0,) * n for n in range(order + 1)))
 
 
 def zero(order):

@@ -212,8 +212,10 @@ def test_lift_routes_through_neither_phi_plus_nor_factor_primes(monkeypatch):
 
 
 def test_lift_closed_forms_far_past_the_enumeration_bound():
-    # lifting (UD)^n nests n negative nodes, so the flatten must not
-    # recurse; the k-fold phi_plus loop would take minutes at n = 20,000
-    for n, lifted in ((6, lift_by_phi_plus), (20_000, lift)):
+    # lifting U^n D^n descends n levels and lifting (UD)^n writes one
+    # forest of n - 1 primes, so lift may neither recurse nor rescan; the
+    # k-fold phi_plus loop would take minutes at n = 20,000, and a lift
+    # quadratic in the depth at 200,000
+    for n, lifted in ((6, lift_by_phi_plus), (20_000, lift), (200_000, lift)):
         assert lifted(parse_path("UD" * n), n) == parse_path("D" * n + "U" * n)
         assert lifted(parse_path("U" * n + "D" * n), n) == parse_path("DU" * n)

@@ -163,8 +163,8 @@ def test_large_table_bytes(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[argv]
 
 
-# sha256 of stdout as printed by the k-fold phi_plus loop; the block-stack
-# lift prints the same
+# sha256 of stdout as printed by the k-fold phi_plus loop; the linear lift
+# prints the same
 LARGE_SAMPLE_DIGESTS = {
     "text": "740418fc6023ee6fbfcc933ae01b9c408bf3ca36f4a074c69ba482ea08668adf",
     "json": "074a9acaf8419bb6d15e857cb95bf62eca5049745df23ab15d1c9d87a1045e8d",

@@ -21,6 +21,7 @@ from chungfeller import (
     rotate,
     shifted_partial_sum,
 )
+from chungfeller.cycle import _unit_shift
 from support import (
     all_pm1_sequences,
     dominating_shifts_by_rotation,
@@ -192,6 +193,14 @@ class TestDominatingShifts:
         oracle = dominating_shifts_by_rotation(terms)
         assert dominating_shifts(CyclicSequence(terms)) == oracle
         assert len(oracle) == sum(terms)
+
+    def test_unit_shift_on_raw_terms(self):
+        # the sampler's shift, read off a list with no CyclicSequence built
+        for length in range(1, 16, 2):
+            for terms in all_pm1_sequences(length):
+                if sum(terms) == 1:
+                    shifts = dominating_shifts(CyclicSequence(terms))
+                    assert _unit_shift(list(terms)) == shifts[0]
 
     def test_all_up_terms_every_shift(self):
         # k = L: every level 0..L-1 is last visited at its own position

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chungfeller import (
+    CyclicSequence,
     IndexOutOfRange,
+    LatticePath,
     RandomSource,
     is_dyck,
+    paths,
     negativity,
     render_path,
     sample_balanced,
@@ -203,6 +206,40 @@ class TestSampleKNegative:
         )
         classes = [render_path(p) for p in paths_by_negativity(3)[2]]
         assert chi_square(observed, classes, 10000) < CHI2_4DF
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: sample_dyck(10, rng),
+        lambda rng: sample_k_negative(0, 0, rng),
+        lambda rng: sample_k_negative(10, 5, rng),
+        lambda rng: sample_k_negative(12, 12, rng),
+    ],
+    ids=["dyck", "class-0-0", "class-10-5", "class-12-12"],
+)
+def test_one_validation_per_draw(monkeypatch, draw):
+    # the steps are checked once, by the LatticePath the draw returns; the
+    # sampler builds no CyclicSequence and lift's is_dyck check is skipped
+    calls = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(LatticePath, "__post_init__", "LatticePath")
+    count(CyclicSequence, "__post_init__", "CyclicSequence")
+    count(paths, "negativity", "negativity")
+    rng = RandomSource(21)
+    for _ in range(5):
+        calls.clear()
+        draw(rng)
+        assert calls == {"LatticePath": 1}
 
 
 class TestSampleBalanced:

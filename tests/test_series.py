@@ -10,7 +10,6 @@ from chungfeller import (
     NonzeroConstantTerm,
     OrderMismatch,
     catalan,
-    catalan_series,
     central_binomial,
     cli,
     count_recurrence,
@@ -20,7 +19,7 @@ from chungfeller import (
     prime_series_neg,
     prime_series_pos,
 )
-from support import geometric_inverse_by_horner, one, zero
+from support import catalan_series, geometric_inverse_by_horner, one, zero
 
 
 def _build(order, entries):
