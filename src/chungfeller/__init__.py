@@ -26,14 +26,10 @@ from .cycle import (
     CyclicSequence,
     canonical_rotation,
     dominating_shifts,
-    nonpositive_count_at_rank,
     parse_sequence,
     partial_sums,
-    precedes,
     rank_order,
     render_sequence,
-    rotate,
-    shifted_partial_sum,
 )
 from .errors import (
     BoundExceeded,

@@ -118,16 +118,8 @@ class LatticePath(_Value):
         return render_path(self)
 
     @property
-    def up_count(self) -> int:
-        return self.steps.count(UP)
-
-    @property
-    def down_count(self) -> int:
-        return self.steps.count(DOWN)
-
-    @property
     def is_balanced(self) -> bool:
-        return self.up_count == self.down_count
+        return sum(self.steps) == 0
 
     @property
     def half_length(self) -> int:
@@ -149,9 +141,8 @@ def check_half_length(n: int) -> None:
 
 def _check_balanced(path: LatticePath) -> None:
     if not path.is_balanced:
-        raise NotBalanced(
-            f"path has {path.up_count} up and {path.down_count} down steps"
-        )
+        ups = path.steps.count(UP)
+        raise NotBalanced(f"path has {ups} up and {len(path) - ups} down steps")
 
 
 def parse_path(text: str) -> LatticePath:

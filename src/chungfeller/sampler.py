@@ -36,7 +36,7 @@ from collections.abc import Iterator
 from itertools import chain
 
 from .bijection import _lift
-from .cycle import _unit_shift
+from .cycle import _shifts
 from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 
 _MASK64 = (1 << 64) - 1
@@ -100,7 +100,7 @@ class RandomSource:
         Takes the top bits of successive words, retrying the rare draws
         that fall outside the range.
         """
-        if not 1 <= bound <= 1 << 64:
+        if not (isinstance(bound, int) and 1 <= bound <= 1 << 64):
             raise ValueError(f"bound must be in 1..2**64, got {bound}")
         shift = 64 - (bound - 1).bit_length()
         words = self._words
@@ -131,7 +131,7 @@ def _dyck_steps(n: int, rng: RandomSource) -> list[int]:
     # the sum is 1, so there is one dominating shift; its rotation starts
     # with an up-step, and dropping it leaves a path that never dips below
     # the axis
-    shift = _unit_shift(arrangement)
+    (shift,) = _shifts(arrangement, 1)
     return arrangement[shift + 1 :] + arrangement[:shift]
 
 

@@ -7,10 +7,12 @@ from itertools import accumulate, product
 
 from chungfeller import (
     BivariateSeries,
+    CyclicSequence,
     LatticePath,
     catalan,
     enumerate_balanced,
     negativity,
+    rank_order,
 )
 from chungfeller.bijection import _last_prime, phi_plus
 
@@ -29,6 +31,42 @@ def all_pm1_sequences(length):
 def rotation_prefix_sums(terms, j):
     """Prefix sums of the j-th rotation, built and summed directly."""
     return list(accumulate(terms[j:] + terms[:j], initial=0))
+
+
+def precedes(terms, p, q):
+    """Position-order oracle: p comes before q iff s(p) < s(q), or s(p) = s(q)
+    and p > q, over the partial sums s(0..L) of the terms.
+
+    A strict total order once restricted to distinct positions; its sorted
+    positions m_0..m_L are what cycle.rank_order lists.
+    """
+    s = list(accumulate(terms, initial=0))
+    return s[p] < s[q] or (s[p] == s[q] and p > q)
+
+
+def shifted_partial_sum(terms, j, p):
+    """Prefix sum of the j-th rotation, measured at original position p.
+
+    With s the partial sums and k their total, it is s(p) - s(j) for
+    j <= p <= L and s(p) - s(j) + k for 0 <= p < j, so no rotation is built.
+    """
+    s = list(accumulate(terms, initial=0))
+    if j <= p:
+        return s[p] - s[j]
+    return s[p] - s[j] + s[-1]
+
+
+def nonpositive_count_at_rank(terms, i):
+    """Rank-lemma oracle: positions with nonpositive prefix sum in the m_i-th
+    rotation of sum-1 terms, m = cycle.rank_order.
+
+    The lemma says the count is always i + 1: the nonpositive positions are
+    m_0..m_i themselves.
+    """
+    shift = rank_order(CyclicSequence(terms))[i]
+    return sum(
+        1 for p in range(len(terms) + 1) if shifted_partial_sum(terms, shift, p) <= 0
+    )
 
 
 def dominating_shifts_by_rotation(terms):

@@ -20,7 +20,6 @@ from chungfeller import (
     is_dyck,
     n_series,
     negativity,
-    nonpositive_count_at_rank,
     partition_by_negativity,
     phi_minus,
     phi_plus,
@@ -36,6 +35,7 @@ from support import (
     all_pm1_sequences,
     chi_square,
     dominating_shifts_by_rotation,
+    nonpositive_count_at_rank,
     paths_by_negativity,
 )
 
@@ -117,7 +117,7 @@ def test_criterion_5_cycle_lemma():
                     ranks = rank_order(seq)
                     assert shift == ranks[0] % length
                     for i in range(length + 1):
-                        assert nonpositive_count_at_rank(seq, i) == i + 1
+                        assert nonpositive_count_at_rank(terms, i) == i + 1
 
 
 def test_criterion_6a_dyck_sampler_uniform():

@@ -68,8 +68,38 @@ def test_reader_sees_known_edges():
     # guards the guard: an empty graph would pass every test below
     assert package_imports("series")["counting"] == {"catalan"}
     assert package_imports("sampler")["bijection"] == {"_lift"}
+    assert package_imports("sampler")["cycle"] == {"_shifts"}
     assert package_imports("cli")["counting"] == {"*"}
     assert reachable("sampler") == {"bijection", "cycle", "paths", "errors"}
+    assert reachable("cycle") == {"paths", "errors"}
+
+
+def unused_imports(source):
+    """Names that a module's source imports and never reads.
+
+    `from __future__` imports are directives, not names; a dotted
+    `import a.b` binds `a`.
+    """
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_reader_sees_unused_imports():
+    # guards the guard below: a reader that took every import as read passes it
+    source = "from .cycle import _shifts\nimport json.decoder\n_shifts()\n"
+    assert unused_imports(source) == {"json"}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES - {ROOT}))
+def test_no_module_imports_a_name_it_never_uses(module):
+    # __init__ imports names only to re-export them
+    assert unused_imports((PACKAGE / f"{module}.py").read_text()) == set()
 
 
 def test_no_mechanism_imports_the_package_root():

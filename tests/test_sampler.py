@@ -80,7 +80,7 @@ class TestRandomSource:
         with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer$"):
             RandomSource(1.0)
 
-    @pytest.mark.parametrize("bound", [0, -3, 2**64 + 1])
+    @pytest.mark.parametrize("bound", [0, -3, 2**64 + 1, 2.5])
     def test_bound_out_of_range(self, bound):
         with pytest.raises(ValueError) as info:
             RandomSource(1).randbelow(bound)
