@@ -29,10 +29,8 @@ from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 DEFAULT_ENUMERATION_BOUND = 12
 
 _catalan_table: list[int] = [1]
-# (columns, diagonals): two views of the same N(n, k) ints, with
-# columns[k] = [N(k, k), N(k+1, k), ...] and diagonals[d] = [N(d, 0), N(d+1, 1), ...].
-# One global, so a reader never pairs new columns with old diagonals.
-_recurrence_views: tuple[list[list[int]], list[list[int]]] = ([[1]], [[1]])
+# columns[k] = [N(k, k), N(k+1, k), ...]
+_recurrence_columns: list[list[int]] = [[1]]
 
 
 def catalan(n: int) -> int:
@@ -125,33 +123,33 @@ def count_recurrence(n: int, k: int) -> int:
         N(n, k) = sum_{p=1..n-k} C_{p-1} N(n-p, k)
                 + sum_{q=1..k}   C_{q-1} N(n-q, k-q),    N(0, 0) = 1.
 
-    The p-sum runs down column k and the q-sum down diagonal n-k, so the
-    memo keeps both as lists (see _recurrence_views) and each sum is one
-    dot product, sum(map(mul, ...)), evaluated in C.  Rows 0..n cost
-    n(n+1)(n+2)/3 ~ n^3/3 big-integer products, m of them for each entry
-    of row m.
+    The p-sum runs down column k and the q-sum down diagonal n-k.  In the
+    coordinates A(k, p) = N(k+p, k) the recurrence reads
+
+        A(k, p) = sum_{i=1..p} C_{i-1} A(k, p-i)
+                + sum_{q=1..k} C_{q-1} A(k-q, p),        A(0, 0) = 1,
+
+    and swapping k and p swaps the two sums, so A(k, p) = A(p, k) by
+    induction on k + p: diagonal d is column d, a fact of the recurrence
+    itself, not of the paths it counts.  The memo keeps the columns as
+    lists, and row m takes one dot product X_j, sum(map(mul, ...))
+    evaluated in C, per column j; entry (m, j) is X_j + X_{m-j}.  Rows
+    0..n cost n(n+1)(n+2)/6 ~ n^3/6 big-integer products.
     """
-    global _recurrence_views
+    global _recurrence_columns
     check_class(n, k)
-    columns, diagonals = _recurrence_views
+    columns = _recurrence_columns
     if len(columns) <= n:
-        # extend copies of every list and swap, as in catalan
+        # extend copies of the lists and swap, as in catalan
         columns = [list(column) for column in columns]
-        diagonals = [list(diagonal) for diagonal in diagonals]
         cat = [catalan(i) for i in range(n)]
         while len(columns) <= n:
             m = len(columns)
             columns.append([])
-            diagonals.append([])
-            # before row m, column j ends at N(m-1, j) and diagonal m-j at
-            # N(m-1, j-1): reversed, each lines up with C_0, C_1, ...
-            row = [
-                sum(map(mul, cat, reversed(columns[j])))
-                + sum(map(mul, cat, reversed(diagonals[m - j])))
-                for j in range(m + 1)
-            ]
-            for j, count in enumerate(row):
-                columns[j].append(count)
-                diagonals[m - j].append(count)
-        _recurrence_views = columns, diagonals
+            # before row m, column j ends at N(m-1, j): reversed, it lines
+            # up with C_0, C_1, ...
+            x = [sum(map(mul, cat, reversed(column))) for column in columns]
+            for j, column in enumerate(columns):
+                column.append(x[j] + x[m - j])
+        _recurrence_columns = columns
     return columns[k][n - k]

@@ -70,7 +70,8 @@ def partial_sums(seq: CyclicSequence) -> list[int]:
 def rank_order(seq: CyclicSequence) -> tuple[int, ...]:
     """m_0..m_L: the positions 0..L, smaller partial sum first, ties to the larger index."""
     s = partial_sums(seq)
-    return tuple(sorted(range(len(s)), key=lambda p: (s[p], -p)))
+    # a stable sort of the positions listed last-first breaks ties to the larger index
+    return tuple(sorted(range(len(s) - 1, -1, -1), key=s.__getitem__))
 
 
 def _shifts(terms, k: int) -> tuple[int, ...]:

@@ -39,6 +39,15 @@ def _zero_rows(order: int) -> list[list[int]]:
     return [[0] * (n + 1) for n in range(order + 1)]
 
 
+def _add_product(target: list[int], row1, row2) -> None:
+    """Add the product of two rows of t-coefficients into target, skipping zeros."""
+    for k1, c1 in enumerate(row1):
+        if c1:
+            for k2, c2 in enumerate(row2):
+                if c2:
+                    target[k1 + k2] += c1 * c2
+
+
 class BivariateSeries(_Value):
     """Triangular integer coefficients (n, k), k <= n <= order, exact."""
 
@@ -82,14 +91,8 @@ class BivariateSeries(_Value):
         d = self.order
         rows = _zero_rows(d)
         for n1, row1 in enumerate(self.coeffs):
-            for k1, c1 in enumerate(row1):
-                if not c1:
-                    continue
-                for n2 in range(d - n1 + 1):
-                    target = rows[n1 + n2]
-                    for k2, c2 in enumerate(other.coeffs[n2]):
-                        if c2:
-                            target[k1 + k2] += c1 * c2
+            for n2 in range(d - n1 + 1):
+                _add_product(rows[n1 + n2], row1, other.coeffs[n2])
         return BivariateSeries(d, _freeze(rows))
 
 
@@ -126,15 +129,8 @@ def geometric_inverse(u: BivariateSeries) -> BivariateSeries:
     rows = _zero_rows(u.order)
     rows[0][0] = 1
     for n in range(1, u.order + 1):
-        target = rows[n]
         for m in range(1, n + 1):
-            earlier = rows[n - m]
-            for k1, c1 in enumerate(u.coeffs[m]):
-                if not c1:
-                    continue
-                for k2, c2 in enumerate(earlier):
-                    if c2:
-                        target[k1 + k2] += c1 * c2
+            _add_product(rows[n], u.coeffs[m], rows[n - m])
     return BivariateSeries(u.order, _freeze(rows))
 
 

@@ -95,8 +95,8 @@ def geometric_inverse_by_horner(u):
 def count_recurrence_by_definition(n, k):
     """Recurrence oracle: N(n, k) by one generator sum per term.
 
-    Builds its own rows 0..n, independently of the memo and the column and
-    diagonal views in counting, with Catalan coefficients by closed form.
+    Builds its own rows 0..n, independently of the column memo in
+    counting, with Catalan coefficients by closed form.
     """
     return _recurrence_rows_by_definition(n)[n][k]
 

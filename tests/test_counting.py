@@ -182,7 +182,7 @@ class TestCountBySteps:
 
 def cold(monkeypatch):
     """Empty the recurrence and Catalan memos for the rest of the test."""
-    monkeypatch.setattr(counting, "_recurrence_views", ([[1]], [[1]]))
+    monkeypatch.setattr(counting, "_recurrence_columns", [[1]])
     monkeypatch.setattr(counting, "_catalan_table", [1])
 
 
@@ -201,16 +201,32 @@ class TestCountRecurrence:
         assert count_recurrence(6, 6) == catalan(6) == 132
 
     def test_cold_memo_extends_like_one_build(self, monkeypatch):
-        # the memo grows in steps 0 -> 7 -> (3 hits the memo) -> 40; both
-        # views, so every N(n, k) with n <= 40, must equal a single cold
+        # the memo grows in steps 0 -> 7 -> (3 hits the memo) -> 40; every
+        # column, so every N(n, k) with n <= 40, must equal a single cold
         # build to 40
         cold(monkeypatch)
         for n in (7, 3, 40):
             count_recurrence(n, 0)
-        stepwise = counting._recurrence_views
+        stepwise = counting._recurrence_columns
         cold(monkeypatch)
         count_recurrence(40, 0)
-        assert stepwise == counting._recurrence_views
+        assert stepwise == counting._recurrence_columns
+
+    def test_cold_build_takes_one_product_per_column_entry(self, monkeypatch):
+        # row m takes one dot product per column, m(m+1)/2 products, so
+        # rows 0..n take n(n+1)(n+2)/6: 11,480 at n = 40
+        cold(monkeypatch)
+        catalan(40)
+        products = 0
+
+        def counting_mul(a, b):
+            nonlocal products
+            products += 1
+            return a * b
+
+        monkeypatch.setattr(counting, "mul", counting_mul)
+        count_recurrence(40, 0)
+        assert products == 40 * 41 * 42 // 6 == 11480
 
     def test_cold_matches_definition(self, monkeypatch):
         cold(monkeypatch)
