@@ -46,8 +46,8 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
 
         print(json.dumps(payload))
     else:
-        for line in lines:
-            print(line)
+        # one write: print per line costs a flush each when stdout is unbuffered
+        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import combinations, repeat
-from operator import gt, mul
+from operator import add, gt, mul
 
 from .errors import BoundExceeded, IndexOutOfRange
 from .paths import DOWN, UP, LatticePath, check_class, check_half_length
@@ -29,8 +29,8 @@ from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 DEFAULT_ENUMERATION_BOUND = 12
 
 _catalan_table: list[int] = [1]
-# columns[k] = [N(k, k), N(k+1, k), ...]
-_recurrence_columns: list[list[int]] = [[1]]
+# (width, rows): rows[m] packs N(m, 0..m) in slots of width bytes
+_recurrence_rows: tuple[int, list[int]] = (1, [1])
 
 
 def catalan(n: int) -> int:
@@ -131,25 +131,44 @@ def count_recurrence(n: int, k: int) -> int:
 
     and swapping k and p swaps the two sums, so A(k, p) = A(p, k) by
     induction on k + p: diagonal d is column d, a fact of the recurrence
-    itself, not of the paths it counts.  The memo keeps the columns as
-    lists, and row m takes one dot product X_j, sum(map(mul, ...))
-    evaluated in C, per column j; entry (m, j) is X_j + X_{m-j}.  Rows
-    0..n cost n(n+1)(n+2)/6 ~ n^3/6 big-integer products.
+    itself, not of the paths it counts.  So the q-sum of N(m, j) is the
+    p-sum of N(m, m-j), and N(m, j) = X_j + X_{m-j}, where the row vector
+    X = sum_{i<m} C_i row(m-1-i) holds the p-sums (X_m = 0).
+
+    The memo packs row m into one integer, N(m, j) in slot j of `width`
+    bytes, so X is one sum(map(mul, ...)) of Catalan numbers times packed
+    rows, evaluated in C: n(n+1)/2 products for rows 1..n.  X is unpacked,
+    added to its reverse and repacked, O(m) small operations.  Slots of
+    n//4 + 1 bytes, at least 2n + 2 bits, never carry: the row sums satisfy
+    S_m = 2 sum_j X_j = 2 sum_{i<m} C_i S_{m-1-i}, so S_m <= 4^m by
+    induction, as sum_i C_i 4^-i <= c(1/4) = 2; every partial sum of X_j
+    is at most S_m/2 <= 2^(2n-1) and every entry at most S_m <= 4^n.
     """
-    global _recurrence_columns
+    global _recurrence_rows
     check_class(n, k)
-    columns = _recurrence_columns
-    if len(columns) <= n:
-        # extend copies of the lists and swap, as in catalan
-        columns = [list(column) for column in columns]
+    width, rows = _recurrence_rows
+    if len(rows) <= n:
+        # repack a copy in slots wide enough for row n; extend it and swap
+        rows = [_pack(_unpack(row, width, m + 1), n // 4 + 1) for m, row in enumerate(rows)]
+        width = n // 4 + 1
         cat = [catalan(i) for i in range(n)]
-        while len(columns) <= n:
-            m = len(columns)
-            columns.append([])
-            # before row m, column j ends at N(m-1, j): reversed, it lines
-            # up with C_0, C_1, ...
-            x = [sum(map(mul, cat, reversed(column))) for column in columns]
-            for j, column in enumerate(columns):
-                column.append(x[j] + x[m - j])
-        _recurrence_columns = columns
-    return columns[k][n - k]
+        while len(rows) <= n:
+            m = len(rows)
+            # reversed, rows m-1, m-2, ... line up with C_0, C_1, ...
+            x = _unpack(sum(map(mul, cat, reversed(rows))), width, m + 1)
+            rows.append(_pack(map(add, x, reversed(x)), width))
+        _recurrence_rows = width, rows
+    bits = 8 * width
+    return (rows[n] >> bits * k) & ((1 << bits) - 1)
+
+
+def _pack(values: Iterable[int], width: int) -> int:
+    """One integer holding each value in a little-endian slot of width bytes."""
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in values]), "little")
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The first count slots of _pack(values, width)."""
+    size = width * count
+    data = packed.to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, size, width)]

@@ -25,9 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .errors import NonPositiveSum, NonUnitSum
-from .paths import _freeze_steps, _Value, parse, render
-
-_SEQUENCE_ALPHABET = "+-"
+from .paths import _SEQUENCE_ALPHABET, _freeze_steps, _Value, parse, render
 
 
 class CyclicSequence(_Value):

@@ -32,6 +32,10 @@ UP = 1
 DOWN = -1
 
 _PATH_ALPHABET = "UD"
+_SEQUENCE_ALPHABET = "+-"  # the text form of cycle.CyclicSequence
+
+# step -> character, one lookup per alphabet, built once rather than per render
+_CHAR_OF = {a: {UP: a[0], DOWN: a[1]}.__getitem__ for a in (_PATH_ALPHABET, _SEQUENCE_ALPHABET)}
 
 
 def _freeze_steps(values, field: str) -> tuple[int, ...]:
@@ -92,9 +96,8 @@ def parse(text: str, alphabet: str) -> tuple[int, ...]:
 
 
 def render(steps: tuple[int, ...], alphabet: str) -> str:
-    """Exact inverse of parse."""
-    char_of = {UP: alphabet[0], DOWN: alphabet[1]}
-    return "".join(map(char_of.__getitem__, steps))
+    """Exact inverse of parse, for either of the two alphabets."""
+    return "".join(map(_CHAR_OF[alphabet], steps))
 
 
 class LatticePath(_Value):

@@ -95,7 +95,7 @@ def geometric_inverse_by_horner(u):
 def count_recurrence_by_definition(n, k):
     """Recurrence oracle: N(n, k) by one generator sum per term.
 
-    Builds its own rows 0..n, independently of the column memo in
+    Builds its own rows 0..n, independently of the packed-row memo in
     counting, with Catalan coefficients by closed form.
     """
     return _recurrence_rows_by_definition(n)[n][k]

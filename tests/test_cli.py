@@ -395,6 +395,13 @@ class TestSample:
         assert code == 0
         assert json.loads(json_out)["paths"] == text_out.splitlines()
 
+    @pytest.mark.parametrize("fmt, expected", [("text", ""), ("json", '{"paths": []}\n')])
+    def test_zero_count_bytes(self, capsys, fmt, expected):
+        # no draw: text writes zero bytes, json an empty list
+        assert run_cli(
+            capsys, "sample", "--n", "3", "--count", "0", "--seed", "1", "--format", fmt
+        ) == (0, expected, "")
+
     @pytest.mark.parametrize("count", ["0", "1"])
     @pytest.mark.parametrize("k", ["9", "-1"])
     def test_k_out_of_range_is_domain_error(self, capsys, k, count):

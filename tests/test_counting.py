@@ -182,7 +182,7 @@ class TestCountBySteps:
 
 def cold(monkeypatch):
     """Empty the recurrence and Catalan memos for the rest of the test."""
-    monkeypatch.setattr(counting, "_recurrence_columns", [[1]])
+    monkeypatch.setattr(counting, "_recurrence_rows", (1, [1]))
     monkeypatch.setattr(counting, "_catalan_table", [1])
 
 
@@ -201,20 +201,24 @@ class TestCountRecurrence:
         assert count_recurrence(6, 6) == catalan(6) == 132
 
     def test_cold_memo_extends_like_one_build(self, monkeypatch):
-        # the memo grows in steps 0 -> 7 -> (3 hits the memo) -> 40; every
-        # column, so every N(n, k) with n <= 40, must equal a single cold
-        # build to 40
+        # the memo grows in steps 0 -> 7 -> (3 hits the memo) -> 40, and its
+        # slots widen from 2 to 11 bytes on the way, so rows 0..7 are
+        # repacked; the slot width and every packed row, so every N(n, k)
+        # with n <= 40, must equal a single cold build to 40
         cold(monkeypatch)
-        for n in (7, 3, 40):
+        count_recurrence(7, 0)
+        assert counting._recurrence_rows[0] == 2
+        for n in (3, 40):
             count_recurrence(n, 0)
-        stepwise = counting._recurrence_columns
+        stepwise = counting._recurrence_rows
         cold(monkeypatch)
         count_recurrence(40, 0)
-        assert stepwise == counting._recurrence_columns
+        assert stepwise == counting._recurrence_rows
+        assert stepwise[0] == 11
 
-    def test_cold_build_takes_one_product_per_column_entry(self, monkeypatch):
-        # row m takes one dot product per column, m(m+1)/2 products, so
-        # rows 0..n take n(n+1)(n+2)/6: 11,480 at n = 40
+    def test_cold_build_takes_one_product_per_earlier_row(self, monkeypatch):
+        # row m takes one product per earlier row, C_i times packed row
+        # m-1-i, so rows 1..n take n(n+1)/2: 820 at n = 40
         cold(monkeypatch)
         catalan(40)
         products = 0
@@ -226,7 +230,15 @@ class TestCountRecurrence:
 
         monkeypatch.setattr(counting, "mul", counting_mul)
         count_recurrence(40, 0)
-        assert products == 40 * 41 * 42 // 6 == 11480
+        assert products == 40 * 41 // 2 == 820
+
+    def test_packed_rows_sum_to_central_binomials(self, monkeypatch):
+        # a slot that overflowed would carry into the next one and shift
+        # its row's sum by 1 - 2^(8 * width)
+        cold(monkeypatch)
+        count_recurrence(200, 0)
+        for m in range(201):
+            assert sum(count_recurrence(m, k) for k in range(m + 1)) == math.comb(2 * m, m)
 
     def test_cold_matches_definition(self, monkeypatch):
         cold(monkeypatch)
