@@ -26,8 +26,8 @@ steps tuple around the index range [start, end) of the last prime of its
 sign: prefix = steps[:start], inner = steps[start+1:end-1] and suffix =
 steps[end:].
 
-lift applies phi_plus k times to a Dyck path of half-length n in
-O(n + k) steps in all, instead of rebuilding the path k times.
+lift applies phi_plus k times to a Dyck path of half-length n in one
+pass over its steps, O(n), instead of rebuilding the path k times.
 
 *phi_plus opens the pair of the last unopened down-step.*  Call a U...D
 pair of the input opened once phi_plus has split it into prefix + D and
@@ -39,29 +39,22 @@ prefix, then those of inner; suffix has none), so the pair it opens is
 the pair of the last unopened down-step of the input, and k-fold
 phi_plus opens the pairs of the last k down-steps.
 
-*The prime decomposition.*  Let d = P_1...P_r be the top-level primes
-of the Dyck path, |.| the half-length, j the largest index with
-|P_j...P_r| >= k >= 1, P_j = U + A + D and F = P_{j+1}...P_r, so
-|F| < k.  The last k down-steps are the |F| down-steps of F, the last
-step of P_j and the last k - 1 - |F| down-steps of A.  phi_plus of
-P_1...P_j + X is P_1...P_j + phi_plus(X) while X, a balanced path,
-still has a positive prime, so opening F first leaves it a negative
-path G(F), P_j is then the last positive prime and wraps G(F) as its
-suffix, and the top-level primes of A are last from then on:
+*One pass.*  Let d = P_1...P_r be the top-level primes, |.| the
+half-length, P_j = U + A + D the last with |P_j...P_r| >= k >= 1 and
+F = P_{j+1}...P_r.  phi_plus acts inside F while F has a positive prime,
+leaving G(F) = lift(F, |F|), a negative path; P_j is then the last
+positive prime, with suffix G(F), and the primes of A are last after it:
 
-    lift(d, k) = P_1...P_{j-1} + D + G(F) + U + lift(A, k - 1 - |F|).
+    lift(d, k) = P_1...P_{j-1} + D + G(F) + U + lift(A, k - 1 - |F|),
+    G(Q_1...Q_s) = D^s + U + G(B_s) + ... + U + G(B_1),  Q_i = U + B_i + D.
 
-G(F) = lift(F, |F|).  For F = Q_1...Q_s with Q_i = U + B_i + D the
-formula at k = |F| gives j = 1 and G(Q_1...Q_s) = D + G(Q_2...Q_s) + U
-+ G(B_1), which unrolls to
-
-    G(Q_1...Q_s) = D^s + U + G(B_s) + U + G(B_{s-1}) ... + U + G(B_1),
-
-i.e. D^{c(root)} followed by U + D^{c(v)} for each node v of the forest
-in decreasing order of its down-step, c counting children.  lift builds
-the match array of the input once and walks the top-level primes of a
-range leftwards through it; each walked prime either is P_j, which the
-next round descends into, or belongs to F, which G writes out once.
+Unrolled, lift(d, k) has one block per node of the forest of pairs:
+first the root's, its unopened top-level primes verbatim and one D per
+opened one; then, for each opened pair v in decreasing order of its
+down-step, U, v's unopened children verbatim and one D per opened child.
+By the lemma a pair's opened children are a suffix of its children, and
+a pair closes after them, so lift writes each block reversed when the
+pair's down-step is read, the root's at the end, and reverses the list.
 """
 
 from __future__ import annotations
@@ -102,68 +95,41 @@ def phi_minus(path: LatticePath) -> LatticePath:
     return _move_last_prime(path, DOWN)
 
 
-def _lift_forest(opener: list[int], start: int, stop: int, lifted: list[int]) -> None:
-    """Append G(steps[start:stop]), the full lift of a Dyck range, to lifted.
-
-    opener[i] is the up-step that the down-step at i closes.  The
-    interiors B_i nest up to n deep, so the recursion of the module
-    docstring runs on an explicit stack of ranges.
-    """
-    pending: list[tuple[int, int]] = []
-    while True:
-        interiors = []
-        while stop > start:  # top-level primes, right to left
-            first = opener[stop - 1]
-            interiors.append((first + 1, stop - 1))
-            stop = first
-        lifted += [DOWN] * len(interiors)
-        interiors.reverse()
-        pending += interiors
-        if not pending:
-            return
-        start, stop = pending.pop()
-        lifted.append(UP)
-
-
 def _lift(steps, k: int) -> list[int]:
     """The steps of lift(LatticePath(steps), k), with neither input checked.
 
     steps must be a Dyck path of half-length n and 0 <= k <= n.
     """
-    # the match array: opener[i] is the up-step that the down-step at i closes
-    opener = [0] * len(steps)
-    opened = []
+    cut = len(steps) // 2 - k  # down-steps before the first opened one
+    counts = [0] * (len(steps) + 1)  # opened children per up-step, the root at -1
+    ends = [len(steps)] * (len(steps) + 1)  # the up-step of the first opened child
+    ups, lifted = [-1], []  # up-steps not yet closed, the root at -1
     for i, step in enumerate(steps):
         if step == UP:
-            opened.append(i)
-        else:
-            opener[i] = opened.pop()
-    lifted: list[int] = []
-    start, stop = 0, len(steps)
-    while k:
-        # walk back from the last top-level prime of steps[start:stop] to
-        # P_j = steps[first:end]; F = steps[end:stop] has half-length size
-        end, size = stop, 0
-        first = opener[end - 1]
-        while size + (end - first) // 2 < k:
-            size += (end - first) // 2
-            end = first
-            first = opener[end - 1]
-        lifted += steps[start:first]
-        lifted.append(DOWN)
-        _lift_forest(opener, end, stop, lifted)
+            ups.append(i)
+            continue
+        first = ups.pop()
+        if cut:
+            cut -= 1
+            continue
+        parent = ups[-1]
+        lifted += [DOWN] * counts[first]
+        lifted += steps[(ends[first] if counts[first] else i) - 1 : first : -1]
         lifted.append(UP)
-        k -= 1 + size
-        start, stop = first + 1, end - 1
-    lifted += steps[start:stop]
+        if not counts[parent]:
+            ends[parent] = first
+        counts[parent] += 1
+    lifted += [DOWN] * counts[-1]
+    lifted += steps[: ends[-1]][::-1]
+    lifted.reverse()
     return lifted
 
 
 def lift(path: LatticePath, k: int) -> LatticePath:
     """k-fold phi_plus: carries a Dyck path to class (n, k) bijectively.
 
-    Returns the path of k successive phi_plus calls, in O(n + k) steps
-    by the prime decomposition of the module docstring.
+    Returns the path of k successive phi_plus calls, in one O(n) pass
+    (see the module docstring).
     """
     if not is_dyck(path):
         raise NotDyckPath("lift requires a Dyck path")

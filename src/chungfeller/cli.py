@@ -127,15 +127,21 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         "ranks\t" + " ".join(str(v) for v in ranks),
     ]
     payload: dict = {"sums": sums, "ranks": list(ranks)}
-    if seq.total >= 1:
+    total = sums[-1]
+    if total == 1:
+        # the one dominating shift is the canonical rotation's
+        shift, rotated = cycle.canonical_rotation(seq)
+        shifts = (shift,)
+    elif total > 1:
         shifts = cycle.dominating_shifts(seq)
+    if total >= 1:
         lines.append("dominating\t" + " ".join(str(v) for v in shifts))
         payload["dominating"] = list(shifts)
-    if seq.total == 1:
-        shift, rotated = cycle.canonical_rotation(seq)
-        lines.append(f"canonical\t{shift}\t{cycle.render_sequence(rotated)}")
+    if total == 1:
+        canonical = cycle.render_sequence(rotated)
+        lines.append(f"canonical\t{shift}\t{canonical}")
         payload["canonical_shift"] = shift
-        payload["canonical"] = cycle.render_sequence(rotated)
+        payload["canonical"] = canonical
     _emit(args, lines, payload)
     return 0
 

@@ -143,6 +143,10 @@ def count_recurrence(n: int, k: int) -> int:
     S_m = 2 sum_j X_j = 2 sum_{i<m} C_i S_{m-1-i}, so S_m <= 4^m by
     induction, as sum_i C_i 4^-i <= c(1/4) = 2; every partial sum of X_j
     is at most S_m/2 <= 2^(2n-1) and every entry at most S_m <= 4^n.
+    Every slot is as wide as row n needs, so the packed products do about
+    twice the digit work of column-by-column dot products: they win below
+    n ~ 300 and lose above it (a cold build at n = 450 took 7.9 s against
+    6.3 s on CPython 3.11, 2 cores).  Only the packed form is kept.
     """
     global _recurrence_rows
     check_class(n, k)

@@ -182,8 +182,6 @@ def factor_primes(path: LatticePath) -> tuple[int, ...]:
     sign.  The empty path has no primes.
     """
     _check_balanced(path)
-    # a list comprehension: tuple(<generator>) here raised the peak RSS of
-    # `sample --k` by about 1 MB on CPython 3.11
     return tuple([i for i, h in enumerate(accumulate(path.steps), start=1) if h == 0])
 
 

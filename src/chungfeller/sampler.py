@@ -8,7 +8,7 @@ the arrangements (the distinct rotations of its up-step-prefixed lift),
 so the result is uniform over all C_n Dyck paths without any rejection
 of candidate paths.  Class (n, k) is sampled by lifting a uniform Dyck
 path with the k-fold negativity-raising bijection, which bijection.lift
-applies in O(n + k) steps, so both samplers are linear in n.
+applies in one O(n) pass, so both samplers are linear in n.
 
 A draw works on plain step lists: the shift is read off the raw
 arrangement by cycle's rule for sum 1, and the rotated steps go to the
@@ -152,4 +152,4 @@ def sample_balanced(n: int, rng: RandomSource) -> LatticePath:
     check_half_length(n)
     arrangement = [UP] * n + [DOWN] * n
     rng.shuffle(arrangement)
-    return LatticePath(tuple(arrangement))
+    return LatticePath(arrangement)

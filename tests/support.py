@@ -119,7 +119,7 @@ def lift_by_phi_plus(path, k):
     """Lift oracle: the k-fold phi_plus loop, rescanning the path each time.
 
     Applies the bijection's definition literally, independently of the
-    prime decomposition in bijection.lift.
+    one-pass block rule in bijection.lift.
     """
     for _ in range(k):
         path = phi_plus(path)

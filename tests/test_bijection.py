@@ -219,3 +219,32 @@ def test_lift_closed_forms_far_past_the_enumeration_bound():
     for n, lifted in ((6, lift_by_phi_plus), (20_000, lift), (200_000, lift)):
         assert lifted(parse_path("UD" * n), n) == parse_path("D" * n + "U" * n)
         assert lifted(parse_path("U" * n + "D" * n), n) == parse_path("DU" * n)
+
+
+def _deep(n, k):
+    # lift(U^n D^n, k): the k innermost pairs open into D (UD)^(k-1) U,
+    # around which the n - k unopened ones stay nested
+    return parse_path("D" + "UD" * (k - 1) + "U" * (n - k + 1) + "D" * (n - k))
+
+
+def _wide(n, k):
+    # lift((UD)^n, k): the last k primes open, the first n - k stay
+    return parse_path("UD" * (n - k) + "D" * k + "U" * k)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lift_closed_forms_at_every_k(n):
+    for k in range(1, n + 1):
+        for lifted in (lift, lift_by_phi_plus):
+            assert lifted(parse_path("U" * n + "D" * n), k) == _deep(n, k)
+            assert lifted(parse_path("UD" * n), k) == _wide(n, k)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(20_000, 1), (20_000, 10_000), (20_000, 19_999), (200_000, 100_000)]
+)
+def test_lift_closed_forms_cut_far_past_the_enumeration_bound(n, k):
+    # deeper than any recursion limit, with opened and unopened pairs
+    # on both sides of the cut
+    assert lift(parse_path("U" * n + "D" * n), k) == _deep(n, k)
+    assert lift(parse_path("UD" * n), k) == _wide(n, k)

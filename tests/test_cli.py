@@ -295,6 +295,14 @@ class TestCycle:
             "canonical\t5\t++-++-+--+++++-+-----++++++---++--++-----",
         ]
 
+    def test_unit_sum_json_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "cycle", "--seq=-++", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"sums": [0, -1, 0, 1], "ranks": [1, 2, 0, 3], "dominating": [1],'
+            ' "canonical_shift": 1, "canonical": "++-"}\n'
+        )
+
     def test_zero_sum_prints_defined_parts(self, capsys):
         code, out, _ = run_cli(capsys, "cycle", "--seq", "+-")
         assert code == 0
