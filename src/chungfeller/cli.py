@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: count, verify, phi, cycle, series, sample.  Text output is
-TAB-separated; --format json emits the same content as JSON.  Exit codes:
-0 success, 1 domain error (one-line diagnostic on stderr), 2 usage error.
+one line per row, fields joined by TAB (_emit alone writes it); --format
+json emits the same content as JSON.  Exit codes: 0 success, 1 domain
+error (one-line diagnostic on stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import counting, cycle, series
 from .bijection import phi_minus, phi_plus
@@ -18,28 +19,20 @@ from .paths import check_class, negativity, parse_path, render_path
 from .sampler import RandomSource, sample_dyck, sample_k_negative
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _integer(low: int, high: int | None = None):
+    """argparse type: an int in low..high, or at least low when high is None."""
+    bounds = f">= {low}" if high is None else f"in {low}..{high}"
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return integer
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _uint64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("must be an unsigned 64-bit integer")
-    return value
-
-
-def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
+def _emit(args: argparse.Namespace, rows: Iterable[Iterable], payload: dict) -> None:
     if args.format == "json":
         # imported here: text output, the default, never pays for json
         import json
@@ -47,7 +40,7 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
         print(json.dumps(payload))
     else:
         # one write: print per line costs a flush each when stdout is unbuffered
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.write("".join("\t".join(map(str, row)) + "\n" for row in rows))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -56,11 +49,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     counts = {k: counting.count_recurrence(args.n, k) for k in range(args.n + 1)}
     if oracle is not None and oracle != counts:
         raise ChungFellerError(f"recurrence disagrees with brute force at n={args.n}")
-    _emit(
-        args,
-        [f"{k}\t{count}" for k, count in counts.items()],
-        {"counts": {str(k): count for k, count in counts.items()}},
-    )
+    _emit(args, counts.items(), {"counts": {str(k): v for k, v in counts.items()}})
     return 0
 
 
@@ -86,7 +75,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results.append((n, ok))
     _emit(
         args,
-        [f"{n}\t{'PASS' if ok else 'FAIL'}" for n, ok in results],
+        ((n, "PASS" if ok else "FAIL") for n, ok in results),
         {"results": [{"n": n, "pass": ok} for n, ok in results]},
     )
     return 0 if all(ok for _, ok in results) else 1
@@ -104,11 +93,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
             error = exc
             break
         steps.append((render_path(current), negativity(current)))
-    _emit(
-        args,
-        [f"{text}\t{k}" for text, k in steps],
-        {"steps": [{"path": text, "negativity": k} for text, k in steps]},
-    )
+    _emit(args, steps, {"steps": [{"path": p, "negativity": k} for p, k in steps]})
     if error is not None:
         print(
             f"error: {error} ({len(steps)} of {args.times} applications succeeded)",
@@ -121,28 +106,21 @@ def _cmd_phi(args: argparse.Namespace) -> int:
 def _cmd_cycle(args: argparse.Namespace) -> int:
     seq = cycle.parse_sequence(args.seq)
     sums = cycle.partial_sums(seq)
-    ranks = cycle.rank_order(seq)
-    lines = [
-        "sums\t" + " ".join(str(v) for v in sums),
-        "ranks\t" + " ".join(str(v) for v in ranks),
-    ]
-    payload: dict = {"sums": sums, "ranks": list(ranks)}
+    payload: dict = {"sums": sums, "ranks": list(cycle.rank_order(seq))}
     total = sums[-1]
     if total == 1:
         # the one dominating shift is the canonical rotation's
         shift, rotated = cycle.canonical_rotation(seq)
-        shifts = (shift,)
-    elif total > 1:
-        shifts = cycle.dominating_shifts(seq)
-    if total >= 1:
-        lines.append("dominating\t" + " ".join(str(v) for v in shifts))
-        payload["dominating"] = list(shifts)
-    if total == 1:
-        canonical = cycle.render_sequence(rotated)
-        lines.append(f"canonical\t{shift}\t{canonical}")
+        payload["dominating"] = [shift]
         payload["canonical_shift"] = shift
-        payload["canonical"] = canonical
-    _emit(args, lines, payload)
+        payload["canonical"] = cycle.render_sequence(rotated)
+    elif total > 1:
+        payload["dominating"] = list(cycle.dominating_shifts(seq))
+    # text: a row per list, its items space separated, then the canonical rotation
+    rows = [(k, " ".join(map(str, v))) for k, v in payload.items() if type(v) is list]
+    if total == 1:
+        rows.append(("canonical", shift, payload["canonical"]))
+    _emit(args, rows, payload)
     return 0
 
 
@@ -153,22 +131,19 @@ def _cmd_series(args: argparse.Namespace) -> int:
         for n, row in enumerate(table.coeffs)
         for k, value in enumerate(row)
     ]
-    _emit(args, [f"{n}\t{k}\t{value}" for n, k, value in terms], {"terms": terms})
+    _emit(args, terms, {"terms": terms})
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.k is not None:
-        check_class(args.n, args.k)
     rng = RandomSource(args.seed)
-    paths = []
-    for _ in range(args.count):
-        if args.k is None:
-            path = sample_dyck(args.n, rng)
-        else:
-            path = sample_k_negative(args.n, args.k, rng)
-        paths.append(render_path(path))
-    _emit(args, paths, {"paths": paths})
+    if args.k is None:
+        draws = (sample_dyck(args.n, rng) for _ in range(args.count))
+    else:
+        check_class(args.n, args.k)
+        draws = (sample_k_negative(args.n, args.k, rng) for _ in range(args.count))
+    paths = list(map(render_path, draws))
+    _emit(args, zip(paths), {"paths": paths})
     return 0
 
 
@@ -185,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", parents=[common], help="class sizes for one n")
-    p.add_argument("--n", type=_nonnegative_int, required=True, help="half-length")
+    p.add_argument("--n", type=_integer(0), required=True, help="half-length")
     p.add_argument(
         "--brute-force",
         action="store_true",
@@ -197,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="cross-check all counting methods"
     )
     p.add_argument(
-        "--max-n", type=_nonnegative_int, required=True, help="largest half-length"
+        "--max-n", type=_integer(0), required=True, help="largest half-length"
     )
     p.set_defaults(handler=_cmd_verify)
 
@@ -207,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", choices=["up", "down"], required=True)
     p.add_argument("--path", required=True, help="path as a 'U'/'D' string")
     p.add_argument(
-        "--times", type=_positive_int, default=1, help="number of applications"
+        "--times", type=_integer(1), default=1, help="number of applications"
     )
     p.set_defaults(handler=_cmd_phi)
 
@@ -221,17 +196,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", parents=[common], help="dump the path-count series")
     p.add_argument(
-        "--order", type=_nonnegative_int, required=True, help="truncation order"
+        "--order", type=_integer(0), required=True, help="truncation order"
     )
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("sample", parents=[common], help="draw uniform random paths")
-    p.add_argument("--n", type=_nonnegative_int, required=True, help="half-length")
+    p.add_argument("--n", type=_integer(0), required=True, help="half-length")
     p.add_argument("--k", type=int, default=None, help="negativity class (default: Dyck)")
     p.add_argument(
-        "--count", type=_nonnegative_int, required=True, help="number of draws"
+        "--count", type=_integer(0), required=True, help="number of draws"
     )
-    p.add_argument("--seed", type=_uint64, required=True, help="generator seed")
+    p.add_argument(
+        "--seed", type=_integer(0, 2**64 - 1), required=True, help="generator seed"
+    )
     p.set_defaults(handler=_cmd_sample)
 
     return parser

@@ -9,8 +9,9 @@ the negativity is the number of such j (see partition_by_negativity).
 The recurrence is deliberately kept self-referential -- it counts class
 (n, k) in terms of smaller classes, not in terms of Catalan numbers --
 so its agreement with catalan(n) is a checkable fact rather than a
-built-in assumption.  Catalan numbers enter it only as the coefficients
-C_0..C_{n-1} of its two sums.
+built-in assumption.  Even the coefficients C_0..C_{n-1} of its two sums
+are its own column k = 0, N(i, 0), where it reduces to the Catalan
+convolution; catalan() never enters it.
 """
 
 from __future__ import annotations
@@ -133,7 +134,10 @@ def count_recurrence(n: int, k: int) -> int:
     induction on k + p: diagonal d is column d, a fact of the recurrence
     itself, not of the paths it counts.  So the q-sum of N(m, j) is the
     p-sum of N(m, m-j), and N(m, j) = X_j + X_{m-j}, where the row vector
-    X = sum_{i<m} C_i row(m-1-i) holds the p-sums (X_m = 0).
+    X = sum_{i<m} C_i row(m-1-i) holds the p-sums (X_m = 0).  At k = 0 the
+    q-sum is empty and the p-sum is the Catalan convolution, so the
+    coefficient C_m is N(m, 0) = X_0, slot 0 of row m: the recurrence reads
+    its coefficients from its own rows, not from catalan().
 
     The memo packs row m into one integer, N(m, j) in slot j of `width`
     bytes, so X is one sum(map(mul, ...)) of Catalan numbers times packed
@@ -155,12 +159,14 @@ def count_recurrence(n: int, k: int) -> int:
         # repack a copy in slots wide enough for row n; extend it and swap
         rows = [_pack(_unpack(row, width, m + 1), n // 4 + 1) for m, row in enumerate(rows)]
         width = n // 4 + 1
-        cat = [catalan(i) for i in range(n)]
+        # C_i = N(i, 0), slot 0 of row i
+        cat = [row & (1 << 8 * width) - 1 for row in rows]
         while len(rows) <= n:
             m = len(rows)
             # reversed, rows m-1, m-2, ... line up with C_0, C_1, ...
             x = _unpack(sum(map(mul, cat, reversed(rows))), width, m + 1)
             rows.append(_pack(map(add, x, reversed(x)), width))
+            cat.append(x[0])
         _recurrence_rows = width, rows
     bits = 8 * width
     return (rows[n] >> bits * k) & ((1 << bits) - 1)

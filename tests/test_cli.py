@@ -40,6 +40,14 @@ class TestCount:
         from_json = {int(k): v for k, v in json.loads(json_out)["counts"].items()}
         assert from_text == from_json
 
+    @pytest.mark.parametrize("text,plain", [("1_0", "10"), (" 5", "5"), ("\u0663", "3")])
+    def test_integer_options_read_what_int_reads(self, capsys, text, plain):
+        # underscores, surrounding blanks and non-ASCII decimal digits parse
+        # as int() parses them, to the same bytes as the plain digits
+        expected = run_cli(capsys, "count", "--n", plain)
+        assert expected[0] == 0
+        assert run_cli(capsys, "count", "--n", text) == expected
+
     def test_brute_force_agrees(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--n", "5", "--brute-force")
         assert code == 0
@@ -434,10 +442,34 @@ class TestUsageErrors:
             ["phi", "--dir", "sideways", "--path", "UD"],
             ["sample", "--n", "1", "--count", "1", "--seed", str(2**64)],
             [],
+            ["phi", "--dir", "up", "--path", "UD", "--times", "0"],
         ],
     )
     def test_exit_two(self, capsys, argv):
         assert cli.run(argv) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["phi", "--dir", "up", "--path", "UD", "--times", "0"],
+                "chungfeller phi: error: argument --times: must be >= 1, got 0",
+            ),
+            (
+                ["sample", "--n", "1", "--count", "1", "--seed", str(2**64)],
+                "chungfeller sample: error: argument --seed: must be in"
+                f" 0..{2**64 - 1}, got {2**64}",
+            ),
+            (
+                ["count", "--n", "three"],
+                "chungfeller count: error: argument --n: invalid integer value: 'three'",
+            ),
+        ],
+        ids=["times-below-range", "seed-above-range", "n-not-an-integer"],
+    )
+    def test_integer_option_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", message)
 
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0

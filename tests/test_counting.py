@@ -218,9 +218,9 @@ class TestCountRecurrence:
 
     def test_cold_build_takes_one_product_per_earlier_row(self, monkeypatch):
         # row m takes one product per earlier row, C_i times packed row
-        # m-1-i, so rows 1..n take n(n+1)/2: 820 at n = 40
+        # m-1-i, so rows 1..n take n(n+1)/2: 820 at n = 40, with no catalan
+        # products, as the coefficients are read from the rows
         cold(monkeypatch)
-        catalan(40)
         products = 0
 
         def counting_mul(a, b):
@@ -242,6 +242,19 @@ class TestCountRecurrence:
 
     def test_cold_matches_definition(self, monkeypatch):
         cold(monkeypatch)
+        for n in range(61):
+            for k in range(n + 1):
+                assert count_recurrence(n, k) == count_recurrence_by_definition(n, k)
+
+    def test_cold_build_reads_its_coefficients_from_its_own_rows(self, monkeypatch):
+        # C_i is N(i, 0), slot 0 of row i, so catalan() is never called and
+        # verify's recurrence-vs-catalan check compares two separate sequences
+        def no_catalan(n):
+            raise AssertionError("count_recurrence called catalan")
+
+        cold(monkeypatch)
+        monkeypatch.setattr(counting, "catalan", no_catalan)
+        count_recurrence(60, 0)
         for n in range(61):
             for k in range(n + 1):
                 assert count_recurrence(n, k) == count_recurrence_by_definition(n, k)

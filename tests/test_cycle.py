@@ -69,7 +69,9 @@ class TestPartialSums:
         ],
     )
     def test_examples(self, terms, expected):
-        assert partial_sums(CyclicSequence(terms)) == expected
+        seq = CyclicSequence(terms)
+        assert partial_sums(seq) == expected
+        assert len(seq) == len(expected) - 1
 
 
 class TestPrecedes:

@@ -71,16 +71,24 @@ class TestParseRender:
             LatticePath((1, 2))
 
 
+# (make, field, repr, str)
 _VALUES = {
-    "LatticePath": (lambda: LatticePath((1, -1)), "steps", "LatticePath(steps=(1, -1))"),
+    "LatticePath": (
+        lambda: LatticePath((1, -1)),
+        "steps",
+        "LatticePath(steps=(1, -1))",
+        "UD",
+    ),
     "CyclicSequence": (
         lambda: CyclicSequence((1, -1)),
         "terms",
         "CyclicSequence(terms=(1, -1))",
+        "+-",
     ),
     "BivariateSeries": (
         lambda: BivariateSeries(1, ((1,), (0, 2))),
         "coeffs",
+        "BivariateSeries(order=1, coeffs=((1,), (0, 2)))",
         "BivariateSeries(order=1, coeffs=((1,), (0, 2)))",
     ),
 }
@@ -88,7 +96,7 @@ _VALUES = {
 
 @pytest.mark.parametrize("name", _VALUES)
 def test_value_type_contract(name):
-    make, field, text = _VALUES[name]
+    make, field, text, string = _VALUES[name]
     value = make()
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
@@ -98,8 +106,9 @@ def test_value_type_contract(name):
     assert hash(make()) == hash(value)
     # equal fields do not make values of different classes equal, as
     # LatticePath((1, -1)) != CyclicSequence((1, -1))
-    assert all(value != other() for other, _, _ in _VALUES.values() if other is not make)
+    assert all(value != other() for other, *_ in _VALUES.values() if other is not make)
     assert repr(value) == text
+    assert str(value) == string
     assert copy.copy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
 

@@ -94,6 +94,12 @@ class TestArithmetic:
         with pytest.raises(OrderMismatch):
             one(3) + one(4)
 
+    def test_non_series_operand(self):
+        with pytest.raises(TypeError):
+            one(3) + 1
+        with pytest.raises(TypeError):
+            one(3) * 1
+
     @given(st.integers(0, 10).flatmap(lambda d: st.tuples(_series(d), _series(d))))
     def test_commutative(self, pair):
         a, b = pair
@@ -194,6 +200,8 @@ class TestAccessAndDump:
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             BivariateSeries(1, ((1,),))
+        with pytest.raises(ValueError):
+            BivariateSeries(-1, ())
 
     def test_to_lines(self, capsys):
         # the series as written by the CLI: one "n<TAB>k<TAB>value" line a term
