@@ -5,7 +5,10 @@ Three independent routes to the same numbers: brute-force enumeration
 recurrence obtained by splitting a path at its first prime excursion.
 The enumeration classifies each path straight from its up positions
 a_0 < ... < a_{n-1}: the j-th up step is below the axis iff a_j > 2j, and
-the negativity is the number of such j (see partition_by_negativity).
+the negativity is the number of such j (see partition_by_negativity).  It
+applies that rule to 1024 paths at a time, one byte lane per up position
+of a single big integer, so each step of the rule is one big-int
+operation per block; byte lanes limit it to n <= 64.
 The recurrence is deliberately kept self-referential -- it counts class
 (n, k) in terms of smaller classes, not in terms of Catalan numbers --
 so its agreement with catalan(n) is a checkable fact rather than a
@@ -17,10 +20,9 @@ convolution; catalan() never enters it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import combinations, repeat
-from operator import add, gt, mul
+from itertools import chain, combinations, islice
+from operator import add, mul
 
 from .errors import BoundExceeded, IndexOutOfRange
 from .paths import DOWN, UP, LatticePath, check_class, check_half_length
@@ -28,6 +30,8 @@ from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 # C(24,12) = 2,704,156 paths; enumeration above this is almost certainly
 # a mistake, so it must be requested explicitly via `bound`.
 DEFAULT_ENUMERATION_BOUND = 12
+_BLOCK = 1024  # paths per classification kernel call (see _negativities)
+_LANE_LIMIT = 64  # largest n whose classification fits byte lanes
 
 _catalan_table: list[int] = [1]
 # (width, rows): rows[m] packs N(m, 0..m) in slots of width bytes
@@ -96,21 +100,50 @@ def partition_by_negativity(
     it is below the axis iff a_j > 2j.  The below-axis steps of a balanced
     path are exactly the steps of its negative primes, which hold as many
     ups as downs, so the negativity is #{j : a_j > 2j}.
+
+    The byte lanes of _negativities hold the rule only for n <= 64, so a
+    larger n raises BoundExceeded whatever `bound` says; C(130, 65) paths
+    could never be enumerated anyway.
     """
     _check_enumerable(n, bound)
-    counts = Counter(_negativities(n))
-    return {k: counts[k] for k in range(n + 1)}
+    if n > _LANE_LIMIT:
+        raise BoundExceeded(f"n={n} exceeds the byte-lane limit {_LANE_LIMIT} of enumeration")
+    counts = [0] * (n + 1)
+    for block in _negativities(n):
+        for k in range(n + 1):
+            counts[k] += block.count(k)
+    return dict(enumerate(counts))
 
 
-def _negativities(n: int) -> Iterator[int]:
-    """#{j : a_j > 2j} for each up-position tuple, in combinations order.
+def _negativities(n: int) -> Iterator[bytes]:
+    """#{j : a_j > 2j} for each up-position tuple, in combinations order,
+    one byte per path, in blocks of up to _BLOCK paths.
 
-    Nested map over C-level callables: no Python frame per path or step.
+    A block writes its tuples as bytes, n per record, byte j holding a_j,
+    and reads them as one little-endian integer.  Adding 127 - 2j to lane j
+    of every record sets the top bit of the lane iff a_j > 2j.  For n <= 64
+    the constant fits a byte, and as j <= a_j <= n + j every sum lies in
+    127 - j..127 + n - j, inside 0..255, so no lane carries into the next.
+    Shifting right by 7 and masking leaves that bit as 0 or 1 in bit 0 of
+    each lane.  Multiplying by 1 + 256 + ... + 256^(n-1) puts in each byte
+    the sum of the n lanes that end at it, at most n < 256, so again
+    nothing carries, and the last byte of each record holds the record's
+    sum.  A final partial block meets lanes of the constant past its data;
+    each holds 127 - 2j < 128, so its bit is 0 and it adds nothing.
+
+    The empty tuple of n = 0 writes no bytes, so that one path, of
+    negativity 0, is yielded directly.
     """
-    return map(
-        sum,
-        map(map, repeat(gt), combinations(range(2 * n), n), repeat(range(0, 2 * n, 2))),
-    )
+    if n == 0:
+        yield b"\0"
+        return
+    combos = combinations(range(2 * n), n)
+    lanes = int.from_bytes(bytes(range(127, 127 - 2 * n, -2)) * _BLOCK, "little")
+    bits = int.from_bytes(b"\1" * (n * _BLOCK), "little")
+    ones = int.from_bytes(b"\1" * n, "little")
+    while data := bytes(chain.from_iterable(islice(combos, _BLOCK))):
+        below = (int.from_bytes(data, "little") + lanes) >> 7 & bits
+        yield (below * ones).to_bytes(len(data) + n - 1, "little")[n - 1 : len(data) : n]
 
 
 def count_recurrence(n: int, k: int) -> int:

@@ -9,6 +9,7 @@ from chungfeller import (
     BivariateSeries,
     CyclicSequence,
     LatticePath,
+    RandomSource,
     catalan,
     enumerate_balanced,
     negativity,
@@ -158,6 +159,35 @@ def shuffle_by_randbelow(rng, items):
     for i in range(len(items) - 1, 0, -1):
         j = rng.randbelow(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+class DrawSource(RandomSource):
+    """A RandomSource whose shuffle makes the given Fisher-Yates draws.
+
+    Relies on shuffle reading its words from `self._words`, which this stub
+    replaces: the draw at index i is the top i.bit_length() bits of the
+    next word, so the word j << (64 - i.bit_length()) draws j.  `draws`
+    lists (i, j) in the order shuffle asks, i descending.  With `reject`,
+    every draw whose bits can exceed i is preceded by a word that draws
+    the largest such value, which shuffle must skip.
+    """
+
+    def __init__(self, draws, *, reject=False):
+        words = []
+        for i, j in draws:
+            bits = i.bit_length()
+            if reject and (1 << bits) - 1 > i:
+                words.append(((1 << bits) - 1) << (64 - bits))
+            words.append(j << (64 - bits))
+        self._words = iter(words)
+
+
+def all_draw_vectors(length):
+    """Every Fisher-Yates draw vector on `length` items, as DrawSource
+    takes it: (i, j) for i = length-1 .. 1 and j in 0..i, length! in all."""
+    indices = range(length - 1, 0, -1)
+    for js in product(*(range(i + 1) for i in indices)):
+        yield list(zip(indices, js))
 
 
 def heights(path):

@@ -1,7 +1,9 @@
 """Counting: Catalan numbers, brute-force enumeration, and the recurrence."""
 
 import math
-from itertools import combinations, product
+import random
+import tracemalloc
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,8 @@ class TestEnumerateBalanced:
 
 class TestPartition:
     def test_examples(self):
+        # the empty tuple of n = 0 writes no bytes, so its one path must not
+        # be lost as an empty block
         assert partition_by_negativity(0) == {0: 1}
         assert partition_by_negativity(1) == {0: 1, 1: 1}
         assert partition_by_negativity(3) == {0: 5, 1: 5, 2: 5, 3: 5}
@@ -118,7 +122,7 @@ class TestPartition:
     def test_empty_classes_are_listed(self, monkeypatch):
         # the table has every k in 0..n whatever the classifier says, so a
         # broken classifier shows as wrong counts, not as missing keys
-        monkeypatch.setattr(counting, "_negativities", lambda n: [0] * 6)
+        monkeypatch.setattr(counting, "_negativities", lambda n: [bytes(6)])
         assert partition_by_negativity(2) == {0: 6, 1: 0, 2: 0}
 
     def test_matches_definition(self):
@@ -130,7 +134,7 @@ class TestPartition:
     def test_up_position_rule_per_path(self, n):
         # enumerate_balanced yields the paths in the combinations order of
         # their up positions, so the two streams pair path with path
-        rule = counting._negativities(n)
+        rule = chain.from_iterable(counting._negativities(n))
         wrong = [
             ups
             for ups, path, k in zip(
@@ -139,6 +143,46 @@ class TestPartition:
             if negativity(path) != k
         ]
         assert wrong == []
+
+    def test_full_blocks_then_a_partial_one(self):
+        # C(14, 7) = 3432 paths: three blocks of 1024 and one of 360, each
+        # checked path by path in test_up_position_rule_per_path
+        blocks = list(counting._negativities(7))
+        assert [len(b) for b in blocks] == [1024, 1024, 1024, 360]
+
+    def test_widest_lanes(self, monkeypatch):
+        # n = 64 cannot be enumerated, so feed the kernel chosen tuples in
+        # place of the combinations: the first and last ones, whose lanes
+        # hold the smallest and largest sums 127 - j and 127 + n - j, and
+        # seeded random ones, more than a block of them in all
+        n = 64
+        rng = random.Random(64)
+        ups = [tuple(range(n)), tuple(range(n, 2 * n))]
+        ups += [tuple(sorted(rng.sample(range(2 * n), n))) for _ in range(1100)]
+        monkeypatch.setattr(counting, "combinations", lambda pool, r: iter(ups))
+        rule = list(chain.from_iterable(counting._negativities(n)))
+        assert rule == [sum(a > 2 * j for j, a in enumerate(u)) for u in ups]
+        assert rule[:2] == [0, n]
+
+    def test_lane_limit_checked_before_any_work(self, monkeypatch):
+        def no_kernel(n):
+            raise AssertionError("classified paths past the lane limit")
+
+        monkeypatch.setattr(counting, "_negativities", no_kernel)
+        with pytest.raises(BoundExceeded, match="n=65 exceeds the byte-lane limit 64"):
+            partition_by_negativity(65, bound=100)
+
+    def test_classification_runs_in_bounded_memory(self):
+        # one block at a time peaks near 68 KB at n = 10; building all
+        # 184,756 records at once would take about 10 MB
+        partition_by_negativity(10)  # warm imports and constants
+        tracemalloc.start()
+        try:
+            partition_by_negativity(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bound_checked_eagerly(self):
         with pytest.raises(BoundExceeded, match="n=13 exceeds the enumeration bound 12"):

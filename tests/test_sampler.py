@@ -1,6 +1,7 @@
 """Seeded generator and the uniform path samplers."""
 
 from collections import Counter
+from math import comb, factorial
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,8 @@ from chungfeller import (
     IndexOutOfRange,
     LatticePath,
     RandomSource,
+    catalan,
+    enumerate_balanced,
     is_dyck,
     paths,
     negativity,
@@ -21,6 +24,8 @@ from chungfeller import (
     sample_k_negative,
 )
 from support import (
+    DrawSource,
+    all_draw_vectors,
     chi_square,
     paths_by_negativity,
     randbelow_by_scalar,
@@ -275,3 +280,47 @@ class TestSampleBalanced:
         draws = per_class * (n + 1)
         observed = Counter(negativity(sample_balanced(n, rng)) for _ in range(draws))
         assert chi_square(observed, range(n + 1), draws) < critical
+
+
+class TestExactUniformity:
+    # every Fisher-Yates draw vector once, through DrawSource: each path of
+    # the target set must arise equally often, exactly, with no statistics
+    # and no splitmix64; a length-L arrangement has L! vectors
+
+    @staticmethod
+    def tally(draw, length, reject=False):
+        observed = Counter()
+        for draws in all_draw_vectors(length):
+            rng = DrawSource(draws, reject=reject)
+            observed[render_path(draw(rng))] += 1
+            assert next(rng._words, None) is None  # one word per draw, no more
+        return observed
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_dyck(self, n):
+        observed = self.tally(lambda rng: sample_dyck(n, rng), 2 * n + 1)
+        dyck = [render_path(p) for p in paths_by_negativity(n)[0]]
+        assert observed == dict.fromkeys(dyck, factorial(2 * n + 1) // catalan(n))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_every_class(self, n):
+        classes = paths_by_negativity(n)
+        for k in range(n + 1):
+            observed = self.tally(lambda rng: sample_k_negative(n, k, rng), 2 * n + 1)
+            members = [render_path(p) for p in classes[k]]
+            assert observed == dict.fromkeys(members, factorial(2 * n + 1) // catalan(n))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_balanced(self, n):
+        # 2n items, so (2n)! vectors over C(2n, n) paths
+        observed = self.tally(lambda rng: sample_balanced(n, rng), 2 * n)
+        balanced = [render_path(p) for p in enumerate_balanced(n)]
+        assert observed == dict.fromkeys(balanced, factorial(2 * n) // comb(2 * n, n))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_rejected_words_are_skipped(self, n):
+        # a rejected word before every draw that can have one: the retry
+        # reads the next word and the tally does not change
+        observed = self.tally(lambda rng: sample_k_negative(n, n // 2, rng), 2 * n + 1, True)
+        members = [render_path(p) for p in paths_by_negativity(n)[n // 2]]
+        assert observed == dict.fromkeys(members, factorial(2 * n + 1) // catalan(n))
