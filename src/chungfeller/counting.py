@@ -6,9 +6,12 @@ recurrence obtained by splitting a path at its first prime excursion.
 The enumeration classifies each path straight from its up positions
 a_0 < ... < a_{n-1}: the j-th up step is below the axis iff a_j > 2j, and
 the negativity is the number of such j (see partition_by_negativity).  It
-applies that rule to 1024 paths at a time, one byte lane per up position
-of a single big integer, so each step of the rule is one big-int
-operation per block; byte lanes limit it to n <= 64.
+applies that rule to every path of one head at a time, one byte lane per
+up position of a single big integer, so each step of the rule is one
+big-int operation per block; byte lanes limit it to n <= 64.  A path's
+first n - t up positions are its head and the last t its tail; the
+blocks are built from one table of tail records, so no object is made
+per path (see _negativities).
 The recurrence is deliberately kept self-referential -- it counts class
 (n, k) in terms of smaller classes, not in terms of Catalan numbers --
 so its agreement with catalan(n) is a checkable fact rather than a
@@ -30,7 +33,8 @@ from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 # C(24,12) = 2,704,156 paths; enumeration above this is almost certainly
 # a mistake, so it must be requested explicitly via `bound`.
 DEFAULT_ENUMERATION_BOUND = 12
-_BLOCK = 1024  # paths per classification kernel call (see _negativities)
+_TABLE = 1 << 17  # bytes of tail records per classification (see _negativities)
+_JOIN = 64  # blocks tallied per bytes.count pass
 _LANE_LIMIT = 64  # largest n whose classification fits byte lanes
 
 _catalan_table: list[int] = [1]
@@ -109,41 +113,85 @@ def partition_by_negativity(
     if n > _LANE_LIMIT:
         raise BoundExceeded(f"n={n} exceeds the byte-lane limit {_LANE_LIMIT} of enumeration")
     counts = [0] * (n + 1)
-    for block in _negativities(n):
+    # a head's block can be a few paths long, so the blocks are joined
+    # before the n + 1 bytes.count calls
+    blocks = _negativities(n)
+    while chunk := b"".join(islice(blocks, _JOIN)):
         for k in range(n + 1):
-            counts[k] += block.count(k)
+            counts[k] += chunk.count(k)
     return dict(enumerate(counts))
 
 
 def _negativities(n: int) -> Iterator[bytes]:
     """#{j : a_j > 2j} for each up-position tuple, in combinations order,
-    one byte per path, in blocks of up to _BLOCK paths.
+    one byte per path, one block per head.
 
-    A block writes its tuples as bytes, n per record, byte j holding a_j,
-    and reads them as one little-endian integer.  Adding 127 - 2j to lane j
-    of every record sets the top bit of the lane iff a_j > 2j.  For n <= 64
-    the constant fits a byte, and as j <= a_j <= n + j every sum lies in
-    127 - j..127 + n - j, inside 0..255, so no lane carries into the next.
+    A tuple splits into its head a_0..a_{h-1} and its tail a_h..a_{n-1},
+    t = _tail_length(n) positions, h = n - t.  In combinations order the
+    tuples come grouped by head, the heads in combinations order of
+    range(2n - t), and within one head the tails run over the t-subsets of
+    range(a_{h-1} + 1, 2n) in combinations order.  Those are exactly the
+    last C(2n - 1 - a_{h-1}, t) t-subsets of range(h, 2n): a tail that
+    starts at or after s comes after every tail that starts before s.  So
+    one table of every t-subset of range(h, 2n), built once, holds the
+    tails of every head as a suffix, and the paths still come out in
+    combinations order, each as its own record of n byte lanes.  The table
+    holds C(n + t, t) records, at most _TABLE bytes, so memory stays
+    bounded at every n <= 64; a longer tail means fewer and longer blocks.
+
+    The table is one little-endian integer, lane j of each record holding
+    127 - 2j for j < h and a_j + 127 - 2j for the tail.  A head's block is
+    the table's last c records, a shift, plus the head written once per
+    record, so lane j of every record holds a_j + 127 - 2j, whose top bit
+    is set iff a_j > 2j.  For n <= 64 the constant fits a byte, and as
+    j <= a_j <= n + j every sum lies in 127 - j..127 + n - j, inside
+    0..255, so no lane carries into the next, in the table or in the block.
     Shifting right by 7 and masking leaves that bit as 0 or 1 in bit 0 of
     each lane.  Multiplying by 1 + 256 + ... + 256^(n-1) puts in each byte
     the sum of the n lanes that end at it, at most n < 256, so again
     nothing carries, and the last byte of each record holds the record's
-    sum.  A final partial block meets lanes of the constant past its data;
-    each holds 127 - 2j < 128, so its bit is 0 and it adds nothing.
+    sum.
 
     The empty tuple of n = 0 writes no bytes, so that one path, of
-    negativity 0, is yielded directly.
+    negativity 0, is given directly.
     """
     if n == 0:
-        yield b"\0"
-        return
-    combos = combinations(range(2 * n), n)
-    lanes = int.from_bytes(bytes(range(127, 127 - 2 * n, -2)) * _BLOCK, "little")
-    bits = int.from_bytes(b"\1" * (n * _BLOCK), "little")
+        return iter([b"\0"])
+    t = _tail_length(n)
+    return _blocks(n, t, combinations(range(2 * n - t), n - t))
+
+
+def _tail_length(n: int) -> int:
+    """The largest t <= (n + 1) // 2, leaving a head of at least one
+    position, whose table of n-byte records for every t-subset of
+    range(n - t, 2n) fits in _TABLE bytes."""
+    t = min((n + 1) // 2, n - 1)
+    while n * math.comb(n + t, t) > _TABLE:
+        t -= 1
+    return t
+
+
+def _blocks(n: int, t: int, heads: Iterable[tuple[int, ...]]) -> Iterator[bytes]:
+    """The blocks of _negativities for the given heads of n - t >= 1 up
+    positions: each head followed by every t-subset of
+    range(head[-1] + 1, 2n), C(2n - 1 - head[-1], t) paths."""
+    h = n - t
+    count = math.comb(n + t, t)
+    size = n * count
+    records = bytearray(size)
+    tails = bytes(chain.from_iterable(combinations(range(h, 2 * n), t)))
+    for j in range(h, n):
+        records[j::n] = tails[j - h :: t]
+    lanes = bytes(range(127, 127 - 2 * n, -2))
+    table = int.from_bytes(records, "little") + int.from_bytes(lanes * count, "little")
+    bits = int.from_bytes(b"\1" * size, "little")
     ones = int.from_bytes(b"\1" * n, "little")
-    while data := bytes(chain.from_iterable(islice(combos, _BLOCK))):
-        below = (int.from_bytes(data, "little") + lanes) >> 7 & bits
-        yield (below * ones).to_bytes(len(data) + n - 1, "little")[n - 1 : len(data) : n]
+    pad = bytes(t)
+    for head in heads:
+        c = math.comb(2 * n - 1 - head[-1], t)
+        span = n * c
+        block = (table >> 8 * (size - span)) + int.from_bytes((bytes(head) + pad) * c, "little")
+        yield ((block >> 7 & bits) * ones).to_bytes(span + n - 1, "little")[n - 1 : span : n]
 
 
 def count_recurrence(n: int, k: int) -> int:

@@ -182,6 +182,25 @@ class DrawSource(RandomSource):
         self._words = iter(words)
 
 
+class ArrangementSource(RandomSource):
+    """A RandomSource whose one shuffle writes the given arrangement.
+
+    Relies on the samplers taking all their randomness from a single
+    rng.shuffle of their arrangement list: shuffle checks that the list
+    holds the same steps, replaces its contents with `arrangement`, and
+    refuses a second call.  It has no word stream, so any other draw fails.
+    """
+
+    def __init__(self, arrangement):
+        self._arrangement = arrangement
+
+    def shuffle(self, items):
+        if self._arrangement is None or sorted(items) != sorted(self._arrangement):
+            raise AssertionError("a second shuffle, or one of other steps")
+        items[:] = self._arrangement
+        self._arrangement = None
+
+
 def all_draw_vectors(length):
     """Every Fisher-Yates draw vector on `length` items, as DrawSource
     takes it: (i, j) for i = length-1 .. 1 and j in 0..i, length! in all."""

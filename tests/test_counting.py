@@ -122,7 +122,7 @@ class TestPartition:
     def test_empty_classes_are_listed(self, monkeypatch):
         # the table has every k in 0..n whatever the classifier says, so a
         # broken classifier shows as wrong counts, not as missing keys
-        monkeypatch.setattr(counting, "_negativities", lambda n: [bytes(6)])
+        monkeypatch.setattr(counting, "_negativities", lambda n: iter([bytes(6)]))
         assert partition_by_negativity(2) == {0: 6, 1: 0, 2: 0}
 
     def test_matches_definition(self):
@@ -144,25 +144,42 @@ class TestPartition:
         ]
         assert wrong == []
 
-    def test_full_blocks_then_a_partial_one(self):
-        # C(14, 7) = 3432 paths: three blocks of 1024 and one of 360, each
-        # checked path by path in test_up_position_rule_per_path
-        blocks = list(counting._negativities(7))
-        assert [len(b) for b in blocks] == [1024, 1024, 1024, 360]
+    def test_one_block_per_head(self):
+        # n = 7 splits into heads of 3 and tails of 4 up positions: a head
+        # ending at a is followed by all C(13 - a, 4) tails after it, so the
+        # blocks come in head order, each the length of its head's tails,
+        # and together hold every path once; the per-path values are
+        # checked in test_up_position_rule_per_path
+        n, t = 7, counting._tail_length(7)
+        assert t == 4
+        heads = combinations(range(2 * n - t), n - t)
+        blocks = list(counting._negativities(n))
+        assert [len(b) for b in blocks] == [math.comb(2 * n - 1 - h[-1], t) for h in heads]
+        assert len(blocks) == math.comb(10, 3) == 120
+        assert sum(map(len, blocks)) == central_binomial(n)
 
-    def test_widest_lanes(self, monkeypatch):
-        # n = 64 cannot be enumerated, so feed the kernel chosen tuples in
-        # place of the combinations: the first and last ones, whose lanes
-        # hold the smallest and largest sums 127 - j and 127 + n - j, and
-        # seeded random ones, more than a block of them in all
+    def test_widest_lanes(self):
+        # n = 64 cannot be enumerated, so give the kernel chosen heads in
+        # place of all of them: those of the first and last tuples, whose
+        # lanes hold the smallest and largest sums 127 - j and 127 + n - j,
+        # and of 1100 seeded random tuples; each head's block holds every
+        # tail after it, the chosen tuple's among them
         n = 64
+        t = counting._tail_length(n)
         rng = random.Random(64)
         ups = [tuple(range(n)), tuple(range(n, 2 * n))]
         ups += [tuple(sorted(rng.sample(range(2 * n), n))) for _ in range(1100)]
-        monkeypatch.setattr(counting, "combinations", lambda pool, r: iter(ups))
-        rule = list(chain.from_iterable(counting._negativities(n)))
-        assert rule == [sum(a > 2 * j for j, a in enumerate(u)) for u in ups]
-        assert rule[:2] == [0, n]
+        heads = [u[: n - t] for u in ups]
+        blocks = [list(block) for block in counting._blocks(n, t, heads)]
+        expected = [
+            [
+                sum(a > 2 * j for j, a in enumerate(head + tail))
+                for tail in combinations(range(head[-1] + 1, 2 * n), t)
+            ]
+            for head in heads
+        ]
+        assert blocks == expected
+        assert blocks[0][0] == 0 and blocks[1] == [n]
 
     def test_lane_limit_checked_before_any_work(self, monkeypatch):
         def no_kernel(n):
@@ -173,8 +190,8 @@ class TestPartition:
             partition_by_negativity(65, bound=100)
 
     def test_classification_runs_in_bounded_memory(self):
-        # one block at a time peaks near 68 KB at n = 10; building all
-        # 184,756 records at once would take about 10 MB
+        # the tail table and one block at a time peak near 210 KB at
+        # n = 10; building all 184,756 records at once would take about 10 MB
         partition_by_negativity(10)  # warm imports and constants
         tracemalloc.start()
         try:
@@ -183,6 +200,21 @@ class TestPartition:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_tail_table_is_capped_far_past_the_bound(self):
+        # the tail shrinks as n grows, so the table, and with it the first
+        # and longest block, stays small: t = 2 at n = 40, 861 records
+        t = counting._tail_length(40)
+        blocks = counting._negativities(40)
+        tracemalloc.start()
+        try:
+            first = next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == math.comb(40 + t, t)
+        assert first[0] == 0  # the path U^40 D^40
+        assert peak < 2 << 20
 
     def test_bound_checked_eagerly(self):
         with pytest.raises(BoundExceeded, match="n=13 exceeds the enumeration bound 12"):

@@ -1,6 +1,7 @@
 """Seeded generator and the uniform path samplers."""
 
 from collections import Counter
+from itertools import combinations, permutations
 from math import comb, factorial
 from types import SimpleNamespace
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chungfeller import (
+    DOWN,
+    UP,
     CyclicSequence,
     IndexOutOfRange,
     LatticePath,
@@ -24,6 +27,7 @@ from chungfeller import (
     sample_k_negative,
 )
 from support import (
+    ArrangementSource,
     DrawSource,
     all_draw_vectors,
     chi_square,
@@ -324,3 +328,36 @@ class TestExactUniformity:
         observed = self.tally(lambda rng: sample_k_negative(n, n // 2, rng), 2 * n + 1, True)
         members = [render_path(p) for p in paths_by_negativity(n)[n // 2]]
         assert observed == dict.fromkeys(members, factorial(2 * n + 1) // catalan(n))
+
+    # the factored check for larger n: Fisher-Yates alone is exact at every
+    # length up to 8, and every arrangement of n+1 ups and n downs, each
+    # taken once, gives every class path equally often; together they make
+    # the samplers exact past n = 3, as the shuffle does not depend on what
+    # it shuffles
+
+    @pytest.mark.parametrize("length", range(9))
+    def test_fisher_yates_gives_each_permutation_once(self, length):
+        observed = Counter()
+        for draws in all_draw_vectors(length):
+            items = list(range(length))
+            rng = DrawSource(draws)
+            rng.shuffle(items)
+            assert next(rng._words, None) is None
+            observed[tuple(items)] += 1
+        assert observed == dict.fromkeys(permutations(range(length)), 1)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_arrangement_gives_each_class_path_2n_plus_1_times(self, n):
+        arrangements = []
+        for downs in combinations(range(2 * n + 1), n):
+            arrangement = [UP] * (2 * n + 1)
+            for i in downs:
+                arrangement[i] = DOWN
+            arrangements.append(arrangement)
+        assert len(arrangements) == comb(2 * n + 1, n)
+        classes = paths_by_negativity(n)
+        for k in range(n + 1):
+            observed = Counter(
+                sample_k_negative(n, k, ArrangementSource(a)) for a in arrangements
+            )
+            assert observed == dict.fromkeys(classes[k], 2 * n + 1)
