@@ -218,6 +218,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse on some Pythons drops a "--" given as an option's value
+        # (--n=--) and leaves an empty list; no option here takes a list
+        if any(type(value) is list for value in vars(args).values()):
+            parser.error("'--' cannot be an option's value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -5,13 +5,13 @@ Three independent routes to the same numbers: brute-force enumeration
 recurrence obtained by splitting a path at its first prime excursion.
 The enumeration classifies each path straight from its up positions
 a_0 < ... < a_{n-1}: the j-th up step is below the axis iff a_j > 2j, and
-the negativity is the number of such j (see partition_by_negativity).  It
-applies that rule to every path of one head at a time, one byte lane per
-up position of a single big integer, so each step of the rule is one
-big-int operation per block; byte lanes limit it to n <= 64.  A path's
-first n - t up positions are its head and the last t its tail; the
-blocks are built from one table of tail records, so no object is made
-per path (see _negativities).
+the negativity is the number of such j (see partition_by_negativity).
+That count splits at any j: a path's first n - t up positions are its
+head and the last t its tail, and its class is its head's class plus its
+tail's class.  One table holds every tail's class, one byte per tail, and
+each head's block of paths is a suffix of that table with the head's
+class added by one bytes.translate, so no object is made per path (see
+_negativities).
 The recurrence is deliberately kept self-referential -- it counts class
 (n, k) in terms of smaller classes, not in terms of Catalan numbers --
 so its agreement with catalan(n) is a checkable fact rather than a
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from itertools import chain, combinations, islice
-from operator import add, mul
+from itertools import combinations, islice
+from operator import add, gt, mul
 
 from .errors import BoundExceeded, IndexOutOfRange
 from .paths import DOWN, UP, LatticePath, check_class, check_half_length
@@ -33,9 +33,10 @@ from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 # C(24,12) = 2,704,156 paths; enumeration above this is almost certainly
 # a mistake, so it must be requested explicitly via `bound`.
 DEFAULT_ENUMERATION_BOUND = 12
-_TABLE = 1 << 17  # bytes of tail records per classification (see _negativities)
+_TABLE = 1 << 17  # bytes of tail classes per classification (see _negativities)
 _JOIN = 64  # blocks tallied per bytes.count pass
-_LANE_LIMIT = 64  # largest n whose classification fits byte lanes
+_BYTE_LIMIT = 255  # largest n whose classes fit one byte
+_ADD = bytes(range(256)) * 2  # _ADD[k : k + 256] is the translate table adding k
 
 _catalan_table: list[int] = [1]
 # (width, rows): rows[m] packs N(m, 0..m) in slots of width bytes
@@ -105,13 +106,14 @@ def partition_by_negativity(
     path are exactly the steps of its negative primes, which hold as many
     ups as downs, so the negativity is #{j : a_j > 2j}.
 
-    The byte lanes of _negativities hold the rule only for n <= 64, so a
-    larger n raises BoundExceeded whatever `bound` says; C(130, 65) paths
-    could never be enumerated anyway.
+    _negativities adds each path's head class and tail class in one
+    byte, which holds every class only for n <= 255, so a larger n raises
+    BoundExceeded whatever `bound` says; C(512, 256) paths could never be
+    enumerated anyway.
     """
     _check_enumerable(n, bound)
-    if n > _LANE_LIMIT:
-        raise BoundExceeded(f"n={n} exceeds the byte-lane limit {_LANE_LIMIT} of enumeration")
+    if n > _BYTE_LIMIT:
+        raise BoundExceeded(f"n={n} exceeds the byte limit {_BYTE_LIMIT} of enumeration")
     counts = [0] * (n + 1)
     # a head's block can be a few paths long, so the blocks are joined
     # before the n + 1 bytes.count calls
@@ -127,30 +129,19 @@ def _negativities(n: int) -> Iterator[bytes]:
     one byte per path, one block per head.
 
     A tuple splits into its head a_0..a_{h-1} and its tail a_h..a_{n-1},
-    t = _tail_length(n) positions, h = n - t.  In combinations order the
-    tuples come grouped by head, the heads in combinations order of
-    range(2n - t), and within one head the tails run over the t-subsets of
-    range(a_{h-1} + 1, 2n) in combinations order.  Those are exactly the
-    last C(2n - 1 - a_{h-1}, t) t-subsets of range(h, 2n): a tail that
-    starts at or after s comes after every tail that starts before s.  So
-    one table of every t-subset of range(h, 2n), built once, holds the
-    tails of every head as a suffix, and the paths still come out in
-    combinations order, each as its own record of n byte lanes.  The table
-    holds C(n + t, t) records, at most _TABLE bytes, so memory stays
-    bounded at every n <= 64; a longer tail means fewer and longer blocks.
-
-    The table is one little-endian integer, lane j of each record holding
-    127 - 2j for j < h and a_j + 127 - 2j for the tail.  A head's block is
-    the table's last c records, a shift, plus the head written once per
-    record, so lane j of every record holds a_j + 127 - 2j, whose top bit
-    is set iff a_j > 2j.  For n <= 64 the constant fits a byte, and as
-    j <= a_j <= n + j every sum lies in 127 - j..127 + n - j, inside
-    0..255, so no lane carries into the next, in the table or in the block.
-    Shifting right by 7 and masking leaves that bit as 0 or 1 in bit 0 of
-    each lane.  Multiplying by 1 + 256 + ... + 256^(n-1) puts in each byte
-    the sum of the n lanes that end at it, at most n < 256, so again
-    nothing carries, and the last byte of each record holds the record's
-    sum.
+    t = _tail_length(n) positions, h = n - t, and its class is the head's
+    #{j < h : a_j > 2j} plus the tail's #{j >= h : a_j > 2j}.  In
+    combinations order the tuples come grouped by head, the heads in
+    combinations order of range(2n - t), and within one head the tails run
+    over the t-subsets of range(a_{h-1} + 1, 2n) in combinations order.
+    Those are exactly the last C(2n - 1 - a_{h-1}, t) t-subsets of
+    range(h, 2n): a tail that starts at or after s comes after every tail
+    that starts before s.  So one table of the tail class of every t-subset
+    of range(h, 2n), built once, holds the tails of every head as a suffix,
+    and a head's block is that suffix with the head's class added to each
+    byte, the paths still in combinations order.  The table holds
+    C(n + t, t) bytes, at most _TABLE, so memory stays bounded at every n;
+    a longer tail means fewer and longer blocks.
 
     The empty tuple of n = 0 writes no bytes, so that one path, of
     negativity 0, is given directly.
@@ -163,10 +154,10 @@ def _negativities(n: int) -> Iterator[bytes]:
 
 def _tail_length(n: int) -> int:
     """The largest t <= (n + 1) // 2, leaving a head of at least one
-    position, whose table of n-byte records for every t-subset of
-    range(n - t, 2n) fits in _TABLE bytes."""
+    position, whose table of one byte for every t-subset of range(n - t, 2n)
+    fits in _TABLE bytes."""
     t = min((n + 1) // 2, n - 1)
-    while n * math.comb(n + t, t) > _TABLE:
+    while math.comb(n + t, t) > _TABLE:
         t -= 1
     return t
 
@@ -176,22 +167,11 @@ def _blocks(n: int, t: int, heads: Iterable[tuple[int, ...]]) -> Iterator[bytes]
     positions: each head followed by every t-subset of
     range(head[-1] + 1, 2n), C(2n - 1 - head[-1], t) paths."""
     h = n - t
-    count = math.comb(n + t, t)
-    size = n * count
-    records = bytearray(size)
-    tails = bytes(chain.from_iterable(combinations(range(h, 2 * n), t)))
-    for j in range(h, n):
-        records[j::n] = tails[j - h :: t]
-    lanes = bytes(range(127, 127 - 2 * n, -2))
-    table = int.from_bytes(records, "little") + int.from_bytes(lanes * count, "little")
-    bits = int.from_bytes(b"\1" * size, "little")
-    ones = int.from_bytes(b"\1" * n, "little")
-    pad = bytes(t)
+    evens = range(0, 2 * n, 2)  # 2j for j = 0..n-1
+    table = bytes(sum(map(gt, tail, evens[h:])) for tail in combinations(range(h, 2 * n), t))
     for head in heads:
-        c = math.comb(2 * n - 1 - head[-1], t)
-        span = n * c
-        block = (table >> 8 * (size - span)) + int.from_bytes((bytes(head) + pad) * c, "little")
-        yield ((block >> 7 & bits) * ones).to_bytes(span + n - 1, "little")[n - 1 : span : n]
+        k = sum(map(gt, head, evens))
+        yield table[-math.comb(2 * n - 1 - head[-1], t) :].translate(_ADD[k : k + 256])
 
 
 def count_recurrence(n: int, k: int) -> int:
@@ -244,8 +224,9 @@ def count_recurrence(n: int, k: int) -> int:
         cat = [row & (1 << 8 * width) - 1 for row in rows]
         while len(rows) <= n:
             m = len(rows)
-            # reversed, rows m-1, m-2, ... line up with C_0, C_1, ...
-            x = _unpack(sum(map(mul, cat, reversed(rows))), width, m + 1)
+            # C_{m-1-i} times row i, the smallest row first: the running sum
+            # then grows with the rows instead of starting at row m-1's size
+            x = _unpack(sum(map(mul, reversed(cat), rows)), width, m + 1)
             rows.append(_pack(map(add, x, reversed(x)), width))
             cat.append(x[0])
         _recurrence_rows = width, rows

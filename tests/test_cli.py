@@ -2,12 +2,17 @@
 
 import ast
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chungfeller import BivariateSeries, cli, counting, series
 
@@ -443,6 +448,9 @@ class TestUsageErrors:
             ["sample", "--n", "1", "--count", "1", "--seed", str(2**64)],
             [],
             ["phi", "--dir", "up", "--path", "UD", "--times", "0"],
+            # argparse may drop a "--" value and leave an empty list
+            ["count", "--n=--"],
+            ["phi", "--dir=--", "--path", "UD"],
         ],
     )
     def test_exit_two(self, capsys, argv):
@@ -542,3 +550,64 @@ def test_json_is_imported_only_for_json_output(fmt, loaded):
         text=True,
     )
     assert (proc.returncode, proc.stderr) == (0, f"{loaded} False False\n")
+
+
+# Valid values of each subcommand's options, every size small enough to run
+# at once: enumeration sizes are at most 8 or at least 13, which the bound
+# refuses before any work.  No junk word is an integer that int() reads as
+# more than 5.
+_ENUMERABLE = st.one_of(st.integers(0, 8), st.integers(13, 60))
+_OPTIONS = {
+    "count": [("--n", _ENUMERABLE), ("--brute-force", None)],
+    "verify": [("--max-n", st.one_of(st.integers(0, 8), st.integers(13, 10**6)))],
+    "phi": [
+        ("--dir", st.sampled_from(["up", "down"])),
+        ("--path", st.text("UDx", max_size=14)),
+        ("--times", st.integers(-1, 5)),
+    ],
+    "cycle": [("--seq", st.text("+-x", max_size=40))],
+    "series": [("--order", st.integers(0, 25))],
+    "sample": [
+        ("--n", st.integers(0, 40)),
+        ("--k", st.integers(-2, 42)),
+        ("--count", st.integers(0, 5)),
+        ("--seed", st.integers(0, 2**64)),
+    ],
+}
+_FORMAT = ("--format", st.sampled_from(["text", "json"]))
+_JUNK = ["", "x", "-1", "1.5", "0x10", " 5", "\u0663", "--", "-", "--bogus",
+         "--format", "json", "UD", "+-", "-h"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand and, in any order, most of its options, their values
+    mostly valid; now and then a junk word anywhere, the command's place
+    included."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    words = []
+    for option, values in [*_OPTIONS[command], _FORMAT]:
+        if draw(st.integers(0, 7)) == 0:
+            continue
+        if values is None:
+            words.append([option])
+            continue
+        junk = draw(st.integers(0, 7)) == 0
+        value = draw(st.sampled_from(_JUNK) if junk else values.map(str))
+        words.append(draw(st.sampled_from([[option, value], [f"{option}={value}"]])))
+    argv = [command, *chain.from_iterable(draw(st.permutations(words)))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(argvs())
+def test_fuzzed_argv_exits_cleanly(argv):
+    # any argv ends in exit 0, 1 or 2 with no traceback; an exception other
+    # than the package's own errors would propagate out of cli.run
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

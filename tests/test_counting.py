@@ -158,12 +158,22 @@ class TestPartition:
         assert len(blocks) == math.comb(10, 3) == 120
         assert sum(map(len, blocks)) == central_binomial(n)
 
-    def test_widest_lanes(self):
-        # n = 64 cannot be enumerated, so give the kernel chosen heads in
-        # place of all of them: those of the first and last tuples, whose
-        # lanes hold the smallest and largest sums 127 - j and 127 + n - j,
-        # and of 1100 seeded random tuples; each head's block holds every
-        # tail after it, the chosen tuple's among them
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_blocks_at_every_tail_length(self, n):
+        # whatever _tail_length picks, any split into heads and tails must
+        # give every path's class in combinations order
+        expected = bytes(
+            sum(a > 2 * j for j, a in enumerate(ups)) for ups in combinations(range(2 * n), n)
+        )
+        for t in range(n):
+            heads = combinations(range(2 * n - t), n - t)
+            assert b"".join(counting._blocks(n, t, heads)) == expected, t
+
+    def test_chosen_heads_at_n_64(self):
+        # n = 64 cannot be enumerated, so give _blocks chosen heads in place
+        # of all of them: those of the first and last tuples, of classes 0
+        # and n, and of 1100 seeded random tuples; each head's block holds
+        # every tail after it, the chosen tuple's among them
         n = 64
         t = counting._tail_length(n)
         rng = random.Random(64)
@@ -181,17 +191,25 @@ class TestPartition:
         assert blocks == expected
         assert blocks[0][0] == 0 and blocks[1] == [n]
 
-    def test_lane_limit_checked_before_any_work(self, monkeypatch):
+    def test_byte_limit_checked_before_any_work(self, monkeypatch):
         def no_kernel(n):
-            raise AssertionError("classified paths past the lane limit")
+            raise AssertionError("classified paths past the byte limit")
 
         monkeypatch.setattr(counting, "_negativities", no_kernel)
-        with pytest.raises(BoundExceeded, match="n=65 exceeds the byte-lane limit 64"):
-            partition_by_negativity(65, bound=100)
+        with pytest.raises(BoundExceeded, match="n=256 exceeds the byte limit 255"):
+            partition_by_negativity(256, bound=1000)
+
+    def test_classes_fill_a_byte_at_the_limit(self):
+        # n = 255: the last tuple, of class 255, is its head's only path,
+        # and the first tuple, of class 0, opens its head's block
+        n = 255
+        t = counting._tail_length(n)
+        first, last = counting._blocks(n, t, [tuple(range(n - t)), tuple(range(n, 2 * n - t))])
+        assert (first[0], len(first), last) == (0, math.comb(n + t, t), bytes([n]))
 
     def test_classification_runs_in_bounded_memory(self):
-        # the tail table and one block at a time peak near 210 KB at
-        # n = 10; building all 184,756 records at once would take about 10 MB
+        # the tail table and one block at a time peak near 60 KB at n = 10,
+        # less than the 184,756 bytes of all its classes at once
         partition_by_negativity(10)  # warm imports and constants
         tracemalloc.start()
         try:
@@ -203,7 +221,8 @@ class TestPartition:
 
     def test_tail_table_is_capped_far_past_the_bound(self):
         # the tail shrinks as n grows, so the table, and with it the first
-        # and longest block, stays small: t = 2 at n = 40, 861 records
+        # and longest block, stays small: t = 3 at n = 40, 12,341 bytes, a
+        # peak near 25 KB
         t = counting._tail_length(40)
         blocks = counting._negativities(40)
         tracemalloc.start()
