@@ -54,19 +54,19 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # raises BoundExceeded now, before the series and the smaller n are computed
-    counting.enumerate_balanced(args.max_n)
+    # largest n first: past the bound the classifier itself refuses, before
+    # the series, the recurrence and the smaller n are computed
+    brute = {n: counting.partition_by_negativity(n) for n in range(args.max_n, -1, -1)}
     table_series = series.n_series(args.max_n)
     results = []
     for n in range(args.max_n + 1):
         reference = counting.catalan(n)
         total = counting.central_binomial(n)
-        brute = counting.partition_by_negativity(n)
         ok = (
             reference == total // (n + 1)
-            and sum(brute.values()) == total
+            and sum(brute[n].values()) == total
             and all(
-                brute[k] == reference
+                brute[n][k] == reference
                 and counting.count_recurrence(n, k) == reference
                 and table_series.coefficient(n, k) == reference
                 for k in range(n + 1)
@@ -105,20 +105,15 @@ def _cmd_phi(args: argparse.Namespace) -> int:
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
     seq = cycle.parse_sequence(args.seq)
-    sums = cycle.partial_sums(seq)
-    payload: dict = {"sums": sums, "ranks": list(cycle.rank_order(seq))}
-    total = sums[-1]
-    if total == 1:
-        # the one dominating shift is the canonical rotation's
+    payload: dict = {"sums": cycle.partial_sums(seq), "ranks": list(cycle.rank_order(seq))}
+    if seq.total > 0:
+        payload["dominating"] = list(cycle.dominating_shifts(seq))
+    # text: a row per list so far, its items space separated
+    rows = [(key, " ".join(map(str, v))) for key, v in payload.items()]
+    if seq.total == 1:
         shift, rotated = cycle.canonical_rotation(seq)
-        payload["dominating"] = [shift]
         payload["canonical_shift"] = shift
         payload["canonical"] = cycle.render_sequence(rotated)
-    elif total > 1:
-        payload["dominating"] = list(cycle.dominating_shifts(seq))
-    # text: a row per list, its items space separated, then the canonical rotation
-    rows = [(k, " ".join(map(str, v))) for k, v in payload.items() if type(v) is list]
-    if total == 1:
         rows.append(("canonical", shift, payload["canonical"]))
     _emit(args, rows, payload)
     return 0

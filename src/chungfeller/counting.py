@@ -91,7 +91,7 @@ def _balanced_paths(n: int) -> Iterator[LatticePath]:
         steps = [DOWN] * (2 * n)
         for i in ups:
             steps[i] = UP
-        yield LatticePath(tuple(steps))
+        yield LatticePath(steps)
 
 
 def partition_by_negativity(

@@ -22,6 +22,7 @@ Sequences render as strings over '+' and '-'.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import accumulate
 
 from .errors import NonPositiveSum, NonUnitSum
@@ -33,10 +34,10 @@ class CyclicSequence(_Value):
 
     __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms: tuple[int, ...] = ()):
+    def __init__(self, terms: Iterable[int] = ()):
         object.__setattr__(self, "terms", self.__post_init__(terms))
 
-    def __post_init__(self, terms: tuple[int, ...]) -> tuple[int, ...]:
+    def __post_init__(self, terms: Iterable[int]) -> tuple[int, ...]:
         return _freeze_steps(terms, "terms")
 
     def __len__(self) -> int:

@@ -24,6 +24,7 @@ it returns the tuple for __init__ to store.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import accumulate
 
 from .errors import IndexOutOfRange, InvalidCharacter, NotBalanced
@@ -38,7 +39,7 @@ _SEQUENCE_ALPHABET = "+-"  # the text form of cycle.CyclicSequence
 _CHAR_OF = {a: {UP: a[0], DOWN: a[1]}.__getitem__ for a in (_PATH_ALPHABET, _SEQUENCE_ALPHABET)}
 
 
-def _freeze_steps(values, field: str) -> tuple[int, ...]:
+def _freeze_steps(values: Iterable[int], field: str) -> tuple[int, ...]:
     """values as a tuple; ValueError unless every entry is +1 or -1."""
     values = tuple(values)
     if values.count(UP) + values.count(DOWN) != len(values):
@@ -83,7 +84,7 @@ class _Value:
         return type(self), self._values()
 
 
-def parse(text: str, alphabet: str) -> tuple[int, ...]:
+def parse(text: str, alphabet: str) -> list[int]:
     """Steps of a string over alphabet = up char + down char; else InvalidCharacter."""
     step_of = {alphabet[0]: UP, alphabet[1]: DOWN}
     steps = []
@@ -92,7 +93,7 @@ def parse(text: str, alphabet: str) -> tuple[int, ...]:
         if step is None:
             raise InvalidCharacter(i, char)
         steps.append(step)
-    return tuple(steps)
+    return steps
 
 
 def render(steps: tuple[int, ...], alphabet: str) -> str:
@@ -105,13 +106,13 @@ class LatticePath(_Value):
 
     __slots__ = _fields = ("steps",)
 
-    def __init__(self, steps: tuple[int, ...] = ()):
+    def __init__(self, steps: Iterable[int] = ()):
         object.__setattr__(self, "steps", self.__post_init__(steps))
 
     # validation is a method of its own, called once from __init__, because
     # perfbench/tracer.py wraps LatticePath.__post_init__ and
     # CyclicSequence.__post_init__ by name
-    def __post_init__(self, steps: tuple[int, ...]) -> tuple[int, ...]:
+    def __post_init__(self, steps: Iterable[int]) -> tuple[int, ...]:
         return _freeze_steps(steps, "steps")
 
     def __len__(self) -> int:

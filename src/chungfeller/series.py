@@ -26,13 +26,11 @@ row n holds the coefficients of t^0 x^n .. t^n x^n.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .counting import catalan
 from .errors import IndexOutOfRange, NonzeroConstantTerm, OrderMismatch
 from .paths import _Value
-
-
-def _freeze(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in rows)
 
 
 def _zero_rows(order: int) -> list[list[int]]:
@@ -49,13 +47,15 @@ def _add_product(target: list[int], row1, row2) -> None:
 
 
 class BivariateSeries(_Value):
-    """Triangular integer coefficients (n, k), k <= n <= order, exact."""
+    """Triangular integer coefficients (n, k), k <= n <= order, exact; the
+    rows may be any sequences and are stored as tuples, shared with no caller."""
 
     __slots__ = _fields = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: tuple[tuple[int, ...], ...]):
+    def __init__(self, order: int, coeffs: Sequence[Sequence[int]]):
         if order < 0:
             raise ValueError(f"truncation order must be nonnegative, got {order}")
+        coeffs = tuple(map(tuple, coeffs))
         if len(coeffs) != order + 1 or any(
             len(row) != n + 1 for n, row in enumerate(coeffs)
         ):
@@ -80,7 +80,7 @@ class BivariateSeries(_Value):
             [a + b for a, b in zip(row_a, row_b)]
             for row_a, row_b in zip(self.coeffs, other.coeffs)
         ]
-        return BivariateSeries(self.order, _freeze(rows))
+        return BivariateSeries(self.order, rows)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         """Cauchy product truncated at the common order."""
@@ -93,7 +93,7 @@ class BivariateSeries(_Value):
         for n1, row1 in enumerate(self.coeffs):
             for n2 in range(d - n1 + 1):
                 _add_product(rows[n1 + n2], row1, other.coeffs[n2])
-        return BivariateSeries(d, _freeze(rows))
+        return BivariateSeries(d, rows)
 
 
 def prime_series_pos(order: int) -> BivariateSeries:
@@ -101,7 +101,7 @@ def prime_series_pos(order: int) -> BivariateSeries:
     rows = _zero_rows(order)
     for n in range(1, order + 1):
         rows[n][0] = catalan(n - 1)
-    return BivariateSeries(order, _freeze(rows))
+    return BivariateSeries(order, rows)
 
 
 def prime_series_neg(order: int) -> BivariateSeries:
@@ -109,7 +109,7 @@ def prime_series_neg(order: int) -> BivariateSeries:
     rows = _zero_rows(order)
     for n in range(1, order + 1):
         rows[n][n] = catalan(n - 1)
-    return BivariateSeries(order, _freeze(rows))
+    return BivariateSeries(order, rows)
 
 
 def geometric_inverse(u: BivariateSeries) -> BivariateSeries:
@@ -131,7 +131,7 @@ def geometric_inverse(u: BivariateSeries) -> BivariateSeries:
     for n in range(1, u.order + 1):
         for m in range(1, n + 1):
             _add_product(rows[n], u.coeffs[m], rows[n - m])
-    return BivariateSeries(u.order, _freeze(rows))
+    return BivariateSeries(u.order, rows)
 
 
 def n_series(order: int) -> BivariateSeries:

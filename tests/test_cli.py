@@ -117,7 +117,7 @@ class TestVerify:
             table = real(order)
             rows = [list(row) for row in table.coeffs]
             rows[2][1] += 1
-            return BivariateSeries(order, tuple(tuple(r) for r in rows))
+            return BivariateSeries(order, rows)
 
         monkeypatch.setattr(series, "n_series", doctored)
         code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
@@ -138,15 +138,42 @@ class TestVerify:
         assert code == 1
         assert "2\tFAIL" in out
 
-    def test_bound_checked_before_any_work(self, capsys, monkeypatch):
-        def unreachable(order):
-            raise AssertionError("series built before the bound check")
+    @staticmethod
+    def _spy_on_classifier(monkeypatch):
+        """The n of every partition_by_negativity call, in call order."""
+        real = counting.partition_by_negativity
+        calls = []
 
-        monkeypatch.setattr(series, "n_series", unreachable)
+        def spy(n, **kwargs):
+            calls.append(n)
+            return real(n, **kwargs)
+
+        monkeypatch.setattr(counting, "partition_by_negativity", spy)
+        return calls
+
+    def test_bound_checked_before_any_work(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("work done before the bound check")
+
+        for module, name in [
+            (counting, "count_recurrence"),
+            (counting, "catalan"),
+            (series, "n_series"),
+        ]:
+            monkeypatch.setattr(module, name, unreachable)
+        calls = self._spy_on_classifier(monkeypatch)
         code, out, err = run_cli(capsys, "verify", "--max-n", "13")
         assert code == 1
         assert out == ""
-        assert "enumeration bound" in err
+        assert err == "error: n=13 exceeds the enumeration bound 12\n"
+        # the refusal is the classifier's own, on its first call
+        assert calls == [13]
+
+    def test_classifies_each_n_once_largest_first(self, capsys, monkeypatch):
+        calls = self._spy_on_classifier(monkeypatch)
+        code, _, _ = run_cli(capsys, "verify", "--max-n", "5")
+        assert code == 0
+        assert calls == [5, 4, 3, 2, 1, 0]
 
 
 # sha256 of stdout as printed by the Horner series inverse and by a
@@ -315,6 +342,31 @@ class TestCycle:
             '{"sums": [0, -1, 0, 1], "ranks": [1, 2, 0, 3], "dominating": [1],'
             ' "canonical_shift": 1, "canonical": "++-"}\n'
         )
+
+    @pytest.mark.parametrize(
+        "seq, text, json_out",
+        [
+            # empty: sum 0, no dominating shifts
+            ("", "sums\t0\nranks\t0\n", '{"sums": [0], "ranks": [0]}\n'),
+            # one term, sum 1: dominating 0 and the canonical rotation
+            (
+                "+",
+                "sums\t0 1\nranks\t0 1\ndominating\t0\ncanonical\t0\t+\n",
+                '{"sums": [0, 1], "ranks": [0, 1], "dominating": [0],'
+                ' "canonical_shift": 0, "canonical": "+"}\n',
+            ),
+            # sum equal to the length: every shift dominates, no canonical row
+            (
+                "+++",
+                "sums\t0 1 2 3\nranks\t0 1 2 3\ndominating\t0 1 2\n",
+                '{"sums": [0, 1, 2, 3], "ranks": [0, 1, 2, 3], "dominating": [0, 1, 2]}\n',
+            ),
+        ],
+        ids=["empty", "single-plus", "all-plus"],
+    )
+    def test_boundary_bytes(self, capsys, seq, text, json_out):
+        assert run_cli(capsys, "cycle", f"--seq={seq}") == (0, text, "")
+        assert run_cli(capsys, "cycle", f"--seq={seq}", "--format", "json") == (0, json_out, "")
 
     def test_zero_sum_prints_defined_parts(self, capsys):
         code, out, _ = run_cli(capsys, "cycle", "--seq", "+-")

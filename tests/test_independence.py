@@ -4,9 +4,13 @@ Enumeration, recurrence, bijection and series must each count by their
 own code, or their agreement proves nothing.  The graph is read from the
 source with ast, so an import inside a function counts too, and it is
 followed transitively: a module routes through everything it reaches.
+Inside counting, where enumeration, recurrence and the Catalan numbers
+share a module, the same holds for the top-level names each function
+reads.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -125,3 +129,85 @@ def test_series_takes_only_catalan_from_counting():
 )
 def test_bijection_and_cycle_route_through_no_other_mechanism(module, others):
     assert not reachable(module) & others
+
+
+def _loads(node):
+    """Every name that node reads, annotations skipped: under
+    `from __future__ import annotations` they are never evaluated."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    for field, value in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from _loads(child)
+
+
+@functools.cache
+def top_level_reads(module):
+    """{top-level name: {(module, name) its definition reads}} for one module.
+
+    A top-level name is a function, a class or an assigned global.  A read
+    of another top-level name of the module is an edge within it; a read of
+    a name taken by `from .other import name` is an edge to (other, name).
+    Whole-module imports (cli's `from . import counting`) are not followed;
+    the module graph above covers them.
+    """
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported, definitions = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        definitions[name.id] = node
+    edges = {name: (module, name) for name in definitions} | imported
+    return {
+        name: {edges[read] for read in _loads(node) if read in edges}
+        for name, node in definitions.items()
+    }
+
+
+def function_reach(module, name):
+    """Every (module, name) that module.name reads, directly or not."""
+    seen, todo = set(), [(module, name)]
+    while todo:
+        source_module, source = todo.pop()
+        for target in top_level_reads(source_module).get(source, ()):
+            if target not in seen:
+                seen.add(target)
+                todo.append(target)
+    return seen
+
+
+def counting_reach(module, name):
+    return {target for owner, target in function_reach(module, name) if owner == "counting"}
+
+
+def test_function_reader_sees_known_edges():
+    # guards the guard: a reader that saw no reads would pass every pin below
+    assert "_blocks" in counting_reach("counting", "partition_by_negativity")
+    assert "_pack" in counting_reach("counting", "count_recurrence")
+    assert "catalan" in counting_reach("series", "n_series")
+
+
+@pytest.mark.parametrize(
+    "function, others",
+    [
+        ("partition_by_negativity", {"count_recurrence", "catalan", "_pack", "_unpack"}),
+        ("count_recurrence", {"catalan", "_negativities", "_blocks", "_balanced_paths"}),
+    ],
+)
+def test_enumeration_and_recurrence_share_no_counting_code(function, others):
+    assert not counting_reach("counting", function) & others
+
+
+def test_n_series_takes_only_catalan_from_counting():
+    # and catalan's own memo table
+    assert counting_reach("series", "n_series") == {"catalan", "_catalan_table"}

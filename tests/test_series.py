@@ -26,7 +26,7 @@ def _build(order, entries):
     rows = [[0] * (n + 1) for n in range(order + 1)]
     for (n, k), value in entries.items():
         rows[n][k] = value
-    return BivariateSeries(order, tuple(tuple(r) for r in rows))
+    return BivariateSeries(order, rows)
 
 
 def _series(order):
@@ -202,6 +202,17 @@ class TestAccessAndDump:
             BivariateSeries(1, ((1,),))
         with pytest.raises(ValueError):
             BivariateSeries(-1, ())
+
+    def test_keeps_no_callers_list(self):
+        rows = [[1], [0, 2]]
+        u = BivariateSeries(1, rows)
+        rows[1][0] = 5
+        rows[1].append(7)
+        rows.append([3, 3, 3])
+        frozen = BivariateSeries(1, ((1,), (0, 2)))
+        assert u == frozen
+        assert hash(u) == hash(frozen)
+        assert repr(u) == "BivariateSeries(order=1, coeffs=((1,), (0, 2)))"
 
     def test_to_lines(self, capsys):
         # the series as written by the CLI: one "n<TAB>k<TAB>value" line a term
