@@ -11,7 +11,7 @@ head and the last t its tail, and its class is its head's class plus its
 tail's class.  One table holds every tail's class, one byte per tail, and
 each head's block of paths is a suffix of that table with the head's
 class added by one bytes.translate, so no object is made per path (see
-_negativities).
+_negativities).  Enumeration stops at n = 12, so every class fits a byte.
 The recurrence is deliberately kept self-referential -- it counts class
 (n, k) in terms of smaller classes, not in terms of Catalan numbers --
 so its agreement with catalan(n) is a checkable fact rather than a
@@ -31,11 +31,9 @@ from .errors import BoundExceeded, IndexOutOfRange
 from .paths import DOWN, UP, LatticePath, check_class, check_half_length
 
 # C(24,12) = 2,704,156 paths; enumeration above this is almost certainly
-# a mistake, so it must be requested explicitly via `bound`.
+# a mistake, so both enumeration functions refuse any larger n.
 DEFAULT_ENUMERATION_BOUND = 12
-_TABLE = 1 << 17  # bytes of tail classes per classification (see _negativities)
 _JOIN = 64  # blocks tallied per bytes.count pass
-_BYTE_LIMIT = 255  # largest n whose classes fit one byte
 _ADD = bytes(range(256)) * 2  # _ADD[k : k + 256] is the translate table adding k
 
 _catalan_table: list[int] = [1]
@@ -66,24 +64,22 @@ def central_binomial(n: int) -> int:
     return math.comb(2 * n, n)
 
 
-def enumerate_balanced(
-    n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> Iterator[LatticePath]:
+def enumerate_balanced(n: int) -> Iterator[LatticePath]:
     """All C(2n,n) balanced paths of length 2n, lexicographic with U < D.
 
     Each path is one choice of its n up positions, in itertools.combinations
     order: where two paths first differ, at step i, the one with U there has
     i where the other has a larger up position, so its tuple comes first.
-    Returns a lazy iterator; the bound is checked eagerly.
+    Returns a lazy iterator; n > 12 is refused eagerly.
     """
-    _check_enumerable(n, bound)
+    _check_enumerable(n)
     return _balanced_paths(n)
 
 
-def _check_enumerable(n: int, bound: int) -> None:
+def _check_enumerable(n: int) -> None:
     check_half_length(n)
-    if n > bound:
-        raise BoundExceeded(f"n={n} exceeds the enumeration bound {bound}")
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise BoundExceeded(f"n={n} exceeds the enumeration bound {DEFAULT_ENUMERATION_BOUND}")
 
 
 def _balanced_paths(n: int) -> Iterator[LatticePath]:
@@ -94,9 +90,7 @@ def _balanced_paths(n: int) -> Iterator[LatticePath]:
         yield LatticePath(steps)
 
 
-def partition_by_negativity(
-    n: int, *, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> dict[int, int]:
+def partition_by_negativity(n: int) -> dict[int, int]:
     """Brute-force class sizes: k -> |S_k| for every k in 0..n, zeros included.
 
     Every balanced path, one per choice of its up positions a_0 < ... <
@@ -105,15 +99,8 @@ def partition_by_negativity(
     it is below the axis iff a_j > 2j.  The below-axis steps of a balanced
     path are exactly the steps of its negative primes, which hold as many
     ups as downs, so the negativity is #{j : a_j > 2j}.
-
-    _negativities adds each path's head class and tail class in one
-    byte, which holds every class only for n <= 255, so a larger n raises
-    BoundExceeded whatever `bound` says; C(512, 256) paths could never be
-    enumerated anyway.
     """
-    _check_enumerable(n, bound)
-    if n > _BYTE_LIMIT:
-        raise BoundExceeded(f"n={n} exceeds the byte limit {_BYTE_LIMIT} of enumeration")
+    _check_enumerable(n)
     counts = [0] * (n + 1)
     # a head's block can be a few paths long, so the blocks are joined
     # before the n + 1 bytes.count calls
@@ -129,7 +116,7 @@ def _negativities(n: int) -> Iterator[bytes]:
     one byte per path, one block per head.
 
     A tuple splits into its head a_0..a_{h-1} and its tail a_h..a_{n-1},
-    t = _tail_length(n) positions, h = n - t, and its class is the head's
+    t = ceil(n/2) positions, h = n - t, and its class is the head's
     #{j < h : a_j > 2j} plus the tail's #{j >= h : a_j > 2j}.  In
     combinations order the tuples come grouped by head, the heads in
     combinations order of range(2n - t), and within one head the tails run
@@ -140,26 +127,16 @@ def _negativities(n: int) -> Iterator[bytes]:
     of range(h, 2n), built once, holds the tails of every head as a suffix,
     and a head's block is that suffix with the head's class added to each
     byte, the paths still in combinations order.  The table holds
-    C(n + t, t) bytes, at most _TABLE, so memory stays bounded at every n;
-    a longer tail means fewer and longer blocks.
+    C(n + t, t) bytes, 18,564 at n = 12, the largest n enumerated.
 
-    The empty tuple of n = 0 writes no bytes, so that one path, of
-    negativity 0, is given directly.
+    At n = 1 the tail is cut to 0 positions, so the head keeps one.  The
+    empty tuple of n = 0 writes no bytes, so that one path, of negativity
+    0, is given directly.
     """
     if n == 0:
         return iter([b"\0"])
-    t = _tail_length(n)
-    return _blocks(n, t, combinations(range(2 * n - t), n - t))
-
-
-def _tail_length(n: int) -> int:
-    """The largest t <= (n + 1) // 2, leaving a head of at least one
-    position, whose table of one byte for every t-subset of range(n - t, 2n)
-    fits in _TABLE bytes."""
     t = min((n + 1) // 2, n - 1)
-    while math.comb(n + t, t) > _TABLE:
-        t -= 1
-    return t
+    return _blocks(n, t, combinations(range(2 * n - t), n - t))
 
 
 def _blocks(n: int, t: int, heads: Iterable[tuple[int, ...]]) -> Iterator[bytes]:
@@ -171,6 +148,7 @@ def _blocks(n: int, t: int, heads: Iterable[tuple[int, ...]]) -> Iterator[bytes]
     table = bytes(sum(map(gt, tail, evens[h:])) for tail in combinations(range(h, 2 * n), t))
     for head in heads:
         k = sum(map(gt, head, evens))
+        # the enumeration bound keeps every class (at most n <= 12) in one byte
         yield table[-math.comb(2 * n - 1 - head[-1], t) :].translate(_ADD[k : k + 256])
 
 

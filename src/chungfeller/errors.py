@@ -29,7 +29,7 @@ class NotDyckPath(ChungFellerError):
 
 
 class BoundExceeded(ChungFellerError):
-    """Requested exhaustive enumeration beyond the configured bound."""
+    """Requested exhaustive enumeration beyond the enumeration bound."""
 
 
 class IndexOutOfRange(ChungFellerError, ValueError):

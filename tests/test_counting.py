@@ -94,12 +94,6 @@ class TestEnumerateBalanced:
         expected = [s for s in product((UP, DOWN), repeat=2 * n) if sum(s) == 0]
         assert [p.steps for p in enumerate_balanced(n)] == expected
 
-    def test_bound_checked_eagerly(self):
-        with pytest.raises(BoundExceeded):
-            enumerate_balanced(13)
-        with pytest.raises(BoundExceeded):
-            enumerate_balanced(3, bound=2)
-
     def test_negative(self):
         with pytest.raises(IndexOutOfRange):
             enumerate_balanced(-1)
@@ -150,8 +144,7 @@ class TestPartition:
         # blocks come in head order, each the length of its head's tails,
         # and together hold every path once; the per-path values are
         # checked in test_up_position_rule_per_path
-        n, t = 7, counting._tail_length(7)
-        assert t == 4
+        n, t = 7, 4
         heads = combinations(range(2 * n - t), n - t)
         blocks = list(counting._negativities(n))
         assert [len(b) for b in blocks] == [math.comb(2 * n - 1 - h[-1], t) for h in heads]
@@ -160,8 +153,8 @@ class TestPartition:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_blocks_at_every_tail_length(self, n):
-        # whatever _tail_length picks, any split into heads and tails must
-        # give every path's class in combinations order
+        # whatever tail length _negativities picks, any split into heads
+        # and tails must give every path's class in combinations order
         expected = bytes(
             sum(a > 2 * j for j, a in enumerate(ups)) for ups in combinations(range(2 * n), n)
         )
@@ -169,13 +162,12 @@ class TestPartition:
             heads = combinations(range(2 * n - t), n - t)
             assert b"".join(counting._blocks(n, t, heads)) == expected, t
 
-    def test_chosen_heads_at_n_64(self):
-        # n = 64 cannot be enumerated, so give _blocks chosen heads in place
-        # of all of them: those of the first and last tuples, of classes 0
-        # and n, and of 1100 seeded random tuples; each head's block holds
-        # every tail after it, the chosen tuple's among them
-        n = 64
-        t = counting._tail_length(n)
+    def test_chosen_heads_at_n_12(self):
+        # at the largest enumerable n, check chosen heads path by path
+        # against the definition: those of the first and last tuples, of
+        # classes 0 and n, and of 1100 seeded random tuples; each head's
+        # block holds every tail after it, the chosen tuple's among them
+        n, t = 12, 6
         rng = random.Random(64)
         ups = [tuple(range(n)), tuple(range(n, 2 * n))]
         ups += [tuple(sorted(rng.sample(range(2 * n), n))) for _ in range(1100)]
@@ -190,58 +182,21 @@ class TestPartition:
         ]
         assert blocks == expected
         assert blocks[0][0] == 0 and blocks[1] == [n]
-
-    def test_byte_limit_checked_before_any_work(self, monkeypatch):
-        def no_kernel(n):
-            raise AssertionError("classified paths past the byte limit")
-
-        monkeypatch.setattr(counting, "_negativities", no_kernel)
-        with pytest.raises(BoundExceeded, match="n=256 exceeds the byte limit 255"):
-            partition_by_negativity(256, bound=1000)
-
-    def test_classes_fill_a_byte_at_the_limit(self):
-        # n = 255: the last tuple, of class 255, is its head's only path,
-        # and the first tuple, of class 0, opens its head's block
-        n = 255
-        t = counting._tail_length(n)
-        first, last = counting._blocks(n, t, [tuple(range(n - t)), tuple(range(n, 2 * n - t))])
-        assert (first[0], len(first), last) == (0, math.comb(n + t, t), bytes([n]))
+        # the split _negativities itself uses at n = 12
+        assert next(counting._negativities(n)) == bytes(blocks[0])
 
     def test_classification_runs_in_bounded_memory(self):
-        # the tail table and one block at a time peak near 60 KB at n = 10,
-        # less than the 184,756 bytes of all its classes at once
-        partition_by_negativity(10)  # warm imports and constants
+        # the 18,564-byte tail table and _JOIN blocks at a time peak near
+        # 300 KB at n = 12, far less than the 2,704,156 bytes of all its
+        # classes at once
+        partition_by_negativity(12)  # warm imports and constants
         tracemalloc.start()
         try:
-            partition_by_negativity(10)
+            partition_by_negativity(12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-    def test_tail_table_is_capped_far_past_the_bound(self):
-        # the tail shrinks as n grows, so the table, and with it the first
-        # and longest block, stays small: t = 3 at n = 40, 12,341 bytes, a
-        # peak near 25 KB
-        t = counting._tail_length(40)
-        blocks = counting._negativities(40)
-        tracemalloc.start()
-        try:
-            first = next(blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(first) == math.comb(40 + t, t)
-        assert first[0] == 0  # the path U^40 D^40
-        assert peak < 2 << 20
-
-    def test_bound_checked_eagerly(self):
-        with pytest.raises(BoundExceeded, match="n=13 exceeds the enumeration bound 12"):
-            partition_by_negativity(13)
-        with pytest.raises(BoundExceeded):
-            partition_by_negativity(3, bound=2)
-        with pytest.raises(IndexOutOfRange, match="half-length must be nonnegative"):
-            partition_by_negativity(-1)
 
     def test_to_lines(self, capsys):
         # the brute-force table as written by the CLI: one "k<TAB>count" line
@@ -253,6 +208,21 @@ class TestPartition:
         assert sorted(len(v) for v in classes.values()) == [14] * 5
         seen = [p for paths in classes.values() for p in paths]
         assert len(seen) == len(set(seen)) == central_binomial(4)
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_balanced, partition_by_negativity])
+def test_bound_checked_eagerly(enumerate_, monkeypatch):
+    # both refuse before any path is built or classified
+    def no_work(n):
+        raise AssertionError("enumerated past the bound")
+
+    monkeypatch.setattr(counting, "_balanced_paths", no_work)
+    monkeypatch.setattr(counting, "_negativities", no_work)
+    with pytest.raises(BoundExceeded) as excinfo:
+        enumerate_(13)
+    assert str(excinfo.value) == "n=13 exceeds the enumeration bound 12"
+    with pytest.raises(IndexOutOfRange, match="half-length must be nonnegative"):
+        enumerate_(-1)
 
 
 class TestCountBySteps:

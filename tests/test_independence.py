@@ -211,3 +211,11 @@ def test_enumeration_and_recurrence_share_no_counting_code(function, others):
 def test_n_series_takes_only_catalan_from_counting():
     # and catalan's own memo table
     assert counting_reach("series", "n_series") == {"catalan", "_catalan_table"}
+
+
+def test_classifier_builds_no_path():
+    # partition_by_negativity classifies up positions, never a LatticePath;
+    # guarded by enumerate_balanced, which builds one per path
+    path_builders = {("paths", "LatticePath"), ("counting", "_balanced_paths")}
+    assert path_builders <= function_reach("counting", "enumerate_balanced")
+    assert not function_reach("counting", "partition_by_negativity") & path_builders
