@@ -120,36 +120,25 @@ def _negativities(n: int) -> Iterator[bytes]:
     #{j < h : a_j > 2j} plus the tail's #{j >= h : a_j > 2j}.  In
     combinations order the tuples come grouped by head, the heads in
     combinations order of range(2n - t), and within one head the tails run
-    over the t-subsets of range(a_{h-1} + 1, 2n) in combinations order.
-    Those are exactly the last C(2n - 1 - a_{h-1}, t) t-subsets of
+    over the t-subsets of range(last + 1, 2n) in combinations order, where
+    last is the head's final position, a_{h-1}, or -1 for the empty head.
+    Those are exactly the last C(2n - 1 - last, t) t-subsets of
     range(h, 2n): a tail that starts at or after s comes after every tail
     that starts before s.  So one table of the tail class of every t-subset
     of range(h, 2n), built once, holds the tails of every head as a suffix,
     and a head's block is that suffix with the head's class added to each
     byte, the paths still in combinations order.  The table holds
     C(n + t, t) bytes, 18,564 at n = 12, the largest n enumerated.
-
-    At n = 1 the tail is cut to 0 positions, so the head keeps one.  The
-    empty tuple of n = 0 writes no bytes, so that one path, of negativity
-    0, is given directly.
     """
-    if n == 0:
-        return iter([b"\0"])
-    t = min((n + 1) // 2, n - 1)
-    return _blocks(n, t, combinations(range(2 * n - t), n - t))
-
-
-def _blocks(n: int, t: int, heads: Iterable[tuple[int, ...]]) -> Iterator[bytes]:
-    """The blocks of _negativities for the given heads of n - t >= 1 up
-    positions: each head followed by every t-subset of
-    range(head[-1] + 1, 2n), C(2n - 1 - head[-1], t) paths."""
+    t = (n + 1) // 2
     h = n - t
     evens = range(0, 2 * n, 2)  # 2j for j = 0..n-1
     table = bytes(sum(map(gt, tail, evens[h:])) for tail in combinations(range(h, 2 * n), t))
-    for head in heads:
+    for head in combinations(range(2 * n - t), h):
         k = sum(map(gt, head, evens))
+        last = head[-1] if head else -1
         # the enumeration bound keeps every class (at most n <= 12) in one byte
-        yield table[-math.comb(2 * n - 1 - head[-1], t) :].translate(_ADD[k : k + 256])
+        yield table[-math.comb(2 * n - 1 - last, t) :].translate(_ADD[k : k + 256])
 
 
 def count_recurrence(n: int, k: int) -> int:

@@ -101,8 +101,8 @@ class TestEnumerateBalanced:
 
 class TestPartition:
     def test_examples(self):
-        # the empty tuple of n = 0 writes no bytes, so its one path must not
-        # be lost as an empty block
+        # n = 0 has one path, the empty tuple: an empty head and an empty
+        # tail, whose one block is the table's single byte
         assert partition_by_negativity(0) == {0: 1}
         assert partition_by_negativity(1) == {0: 1, 1: 1}
         assert partition_by_negativity(3) == {0: 5, 1: 5, 2: 5, 3: 5}
@@ -138,29 +138,19 @@ class TestPartition:
         ]
         assert wrong == []
 
-    def test_one_block_per_head(self):
-        # n = 7 splits into heads of 3 and tails of 4 up positions: a head
-        # ending at a is followed by all C(13 - a, 4) tails after it, so the
-        # blocks come in head order, each the length of its head's tails,
-        # and together hold every path once; the per-path values are
-        # checked in test_up_position_rule_per_path
-        n, t = 7, 4
-        heads = combinations(range(2 * n - t), n - t)
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 12])
+    def test_one_block_per_head(self, n):
+        # heads of n - t and tails of t = ceil(n/2) up positions: a head
+        # ending at last (-1 for the empty head) is followed by all
+        # C(2n - 1 - last, t) tails after it, so the blocks come in head
+        # order, each the length of its head's tails, and together hold
+        # every path once; the per-path values are checked in
+        # test_up_position_rule_per_path
+        t = (n + 1) // 2
         blocks = list(counting._negativities(n))
-        assert [len(b) for b in blocks] == [math.comb(2 * n - 1 - h[-1], t) for h in heads]
-        assert len(blocks) == math.comb(10, 3) == 120
+        lasts = [h[-1] if h else -1 for h in combinations(range(2 * n - t), n - t)]
+        assert [len(b) for b in blocks] == [math.comb(2 * n - 1 - a, t) for a in lasts]
         assert sum(map(len, blocks)) == central_binomial(n)
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_blocks_at_every_tail_length(self, n):
-        # whatever tail length _negativities picks, any split into heads
-        # and tails must give every path's class in combinations order
-        expected = bytes(
-            sum(a > 2 * j for j, a in enumerate(ups)) for ups in combinations(range(2 * n), n)
-        )
-        for t in range(n):
-            heads = combinations(range(2 * n - t), n - t)
-            assert b"".join(counting._blocks(n, t, heads)) == expected, t
 
     def test_chosen_heads_at_n_12(self):
         # at the largest enumerable n, check chosen heads path by path
@@ -172,7 +162,10 @@ class TestPartition:
         ups = [tuple(range(n)), tuple(range(n, 2 * n))]
         ups += [tuple(sorted(rng.sample(range(2 * n), n))) for _ in range(1100)]
         heads = [u[: n - t] for u in ups]
-        blocks = [list(block) for block in counting._blocks(n, t, heads)]
+        block_of = dict(
+            zip(combinations(range(2 * n - t), n - t), counting._negativities(n), strict=True)
+        )
+        blocks = [list(block_of[head]) for head in heads]
         expected = [
             [
                 sum(a > 2 * j for j, a in enumerate(head + tail))
@@ -182,8 +175,6 @@ class TestPartition:
         ]
         assert blocks == expected
         assert blocks[0][0] == 0 and blocks[1] == [n]
-        # the split _negativities itself uses at n = 12
-        assert next(counting._negativities(n)) == bytes(blocks[0])
 
     def test_classification_runs_in_bounded_memory(self):
         # the 18,564-byte tail table and _JOIN blocks at a time peak near

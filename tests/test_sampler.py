@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from chungfeller import (
     DOWN,
     UP,
-    CyclicSequence,
     IndexOutOfRange,
     LatticePath,
     RandomSource,
     catalan,
+    cycle,
     enumerate_balanced,
     is_dyck,
     paths,
@@ -236,19 +236,20 @@ def test_one_validation_per_draw(monkeypatch, draw):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls[key] += 1
+            calls[key(*args, **kwargs)] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(LatticePath, "__post_init__", "LatticePath")
-    count(CyclicSequence, "__post_init__", "CyclicSequence")
-    count(paths, "negativity", "negativity")
+    # paths and cycle each bind _freeze_steps; its field names the caller
+    count(paths, "_freeze_steps", lambda values, field: field)
+    count(cycle, "_freeze_steps", lambda values, field: field)
+    count(paths, "negativity", lambda path: "negativity")
     rng = RandomSource(21)
     for _ in range(5):
         calls.clear()
         draw(rng)
-        assert calls == {"LatticePath": 1}
+        assert calls == {"steps": 1}
 
 
 class TestSampleBalanced:
