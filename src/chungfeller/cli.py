@@ -2,7 +2,8 @@
 
 Subcommands: count, verify, phi, cycle, series, sample.  Text output is
 one line per row, fields joined by TAB (_emit alone writes it); --format
-json emits the same content as JSON.  Exit codes: 0 success, 1 domain
+json emits the same content as JSON.  Rows are written as they are made,
+_CHUNK per write, so sample and phi never hold all of them.  Exit codes: 0 success, 1 domain
 error (one-line diagnostic on stderr), 2 usage error.
 """
 
@@ -10,13 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 
 from . import counting, cycle, series
 from .bijection import phi_minus, phi_plus
 from .errors import ChungFellerError, NoNegativePrime, NoPositivePrime
 from .paths import check_class, negativity, parse_path, render_path
 from .sampler import RandomSource, sample_dyck, sample_k_negative
+
+# rows per write to stdout
+_CHUNK = 256
 
 
 def _integer(low: int, high: int | None = None):
@@ -32,15 +37,40 @@ def _integer(low: int, high: int | None = None):
     return integer
 
 
-def _emit(args: argparse.Namespace, rows: Iterable[Iterable], payload: dict) -> None:
-    if args.format == "json":
-        # imported here: text output, the default, never pays for json
-        import json
+def _chunks(items: Iterable) -> Iterator[list]:
+    """items in lists of _CHUNK, the last one shorter."""
+    items = iter(items)
+    while chunk := list(islice(items, _CHUNK)):
+        yield chunk
 
-        print(json.dumps(payload))
-    else:
-        # one write: print per line costs a flush each when stdout is unbuffered
-        sys.stdout.write("".join("\t".join(map(str, row)) + "\n" for row in rows))
+
+def _emit(args: argparse.Namespace, rows: Iterable[Iterable], payload: dict) -> None:
+    # rows go out _CHUNK per write while they are still being made: one
+    # write per line costs a syscall each when stdout is unbuffered, one
+    # write for all of them holds every row
+    write = sys.stdout.write
+    if args.format == "text":
+        for chunk in _chunks(rows):
+            write("".join("\t".join(map(str, row)) + "\n" for row in chunk))
+        return
+    # imported here: text output, the default, never pays for json
+    import json
+
+    # the bytes of print(json.dumps(payload)), but a value that is an
+    # iterator is written as a list a chunk at a time, never held whole
+    pending = "{"
+    for i, (key, value) in enumerate(payload.items()):
+        pending += (", " if i else "") + json.dumps(key) + ": "
+        if not isinstance(value, Iterator):
+            pending += json.dumps(value)
+            continue
+        pending += "["
+        for j, chunk in enumerate(_chunks(value)):
+            # a chunk's items are the dumped chunk without its brackets
+            write(pending + (", " if j else "") + json.dumps(chunk)[1:-1])
+            pending = ""
+        pending += "]"
+    write(pending + "}\n")
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -83,20 +113,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_phi(args: argparse.Namespace) -> int:
     apply_map = phi_plus if args.dir == "up" else phi_minus
-    current = parse_path(args.path)
-    steps = []
-    error = None
-    for _ in range(args.times):
-        try:
-            current = apply_map(current)
-        except (NoPositivePrime, NoNegativePrime) as exc:
-            error = exc
-            break
-        steps.append((render_path(current), negativity(current)))
-    _emit(args, steps, {"steps": [{"path": p, "negativity": k} for p, k in steps]})
-    if error is not None:
+    stopped = []  # the error that ended the applications early, and how many succeeded
+
+    def steps(current):
+        for done in range(args.times):
+            try:
+                current = apply_map(current)
+            except (NoPositivePrime, NoNegativePrime) as exc:
+                stopped.append((exc, done))
+                return
+            yield render_path(current), negativity(current)
+
+    rows = steps(parse_path(args.path))  # parsed now: a bad path writes nothing
+    _emit(args, rows, {"steps": ({"path": p, "negativity": k} for p, k in rows)})
+    if stopped:
+        ((error, done),) = stopped
         print(
-            f"error: {error} ({len(steps)} of {args.times} applications succeeded)",
+            f"error: {error} ({done} of {args.times} applications succeeded)",
             file=sys.stderr,
         )
         return 1
@@ -111,9 +144,10 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     # text: a row per list so far, its items space separated
     rows = [(key, " ".join(map(str, v))) for key, v in payload.items()]
     if seq.total == 1:
-        shift, rotated = cycle.canonical_rotation(seq)
+        # the parser takes only '+' and '-', so the input is its own rendering
+        (shift,) = payload["dominating"]
         payload["canonical_shift"] = shift
-        payload["canonical"] = cycle.render_sequence(rotated)
+        payload["canonical"] = args.seq[shift:] + args.seq[:shift]
         rows.append(("canonical", shift, payload["canonical"]))
     _emit(args, rows, payload)
     return 0
@@ -137,7 +171,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     else:
         check_class(args.n, args.k)
         draws = (sample_k_negative(args.n, args.k, rng) for _ in range(args.count))
-    paths = list(map(render_path, draws))
+    paths = map(render_path, draws)
     _emit(args, zip(paths), {"paths": paths})
     return 0
 

@@ -4,8 +4,10 @@ import ast
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain
 from pathlib import Path
@@ -248,6 +250,118 @@ def test_small_sample_bytes(capsys, argv):
     code, out, err = run_cli(capsys, "sample", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SMALL_SAMPLE_DIGESTS[argv]
+
+
+# sha256 of stdout as printed when every row was held until the last one
+# was made; rows now go out cli._CHUNK = 256 per write, and these counts sit
+# on either side of the chunk edges
+CHUNK_EDGE_SAMPLE_DIGESTS = {
+    (0, "text"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (0, "json"): "1a6f5ef09ee490a3f159409d564b072ee9ab81469c9b4eeab697f36773c5b6b7",
+    (1, "text"): "6458b9001d43e6a2a49fe01e70c4bf860cbd57bc81af1fa764df1deac01b6ef5",
+    (1, "json"): "758ac4335cbce133de6faa5ead5f8e4e03b05e7759571dc2eb3df52d0025393f",
+    (255, "text"): "0a1b1b6a35ec033afbe59b467d949869a5b2dcf78d7223f1db93c7578dfa2ca2",
+    (255, "json"): "4c41a7a3f30fa9a8deb2ce0184c5e5c946f1122aa09bf1a6bad738ecd83fd637",
+    (256, "text"): "b99b9c2d9927c27f93caa93505f0ae88c5ae28930ac9f7f3ce65e43786681e9e",
+    (256, "json"): "d4fd8e66ff674bb8def82e8880a266d243ada1503721957a80e8dc9a6ced3531",
+    (257, "text"): "c31a78fa1fd3ccf0f1c2b64b91608ac815a680323d3356d856639d22bc2fd920",
+    (257, "json"): "e8436f36a60b21235b33083e757a740ced03055448f0e3dcb5e0f29520616da5",
+    (513, "text"): "4d23107723381e29b4ee3a885d77744bd6b82e1ad666a1e97d15ccbd59ef70be",
+    (513, "json"): "c5d27492f128c61c998550d46bfb183456b6e5049b7d5ddbc7d4d8aad7f53eb6",
+}
+
+
+@pytest.mark.parametrize(
+    "count,fmt", list(CHUNK_EDGE_SAMPLE_DIGESTS), ids=str
+)
+def test_sample_bytes_at_chunk_edges(capsys, count, fmt):
+    code, out, err = run_cli(
+        capsys,
+        "sample", "--n", "5", "--k", "2", "--count", str(count), "--seed", "11",
+        "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHUNK_EDGE_SAMPLE_DIGESTS[count, fmt]
+    paths = json.loads(out)["paths"] if fmt == "json" else out.splitlines()
+    assert len(paths) == count
+
+
+# (exit code, sha256 of stdout, stderr) as printed when every row was held
+# until the last one was made.  (UD)^300 has 300 primes, so the 301st
+# application finds no positive prime, past the edge of the second chunk
+CHUNK_EDGE_PHI = {
+    ("up", "UD" * 300, 256, "text"): (
+        0, "29655d091d047c73f5d21f7a4c11b0171dabedd2764ade6dd0c15b29f70fe17e", "",
+    ),
+    ("up", "UD" * 300, 256, "json"): (
+        0, "443cebb3c5e247fe70d08517af002052648cc9de102e07ef178e831aff0c67ab", "",
+    ),
+    ("up", "UD" * 300, 257, "text"): (
+        0, "7e884000395f4a8476f3620f7783148a0139d89416667da475d4ac98158006c8", "",
+    ),
+    ("up", "UD" * 300, 257, "json"): (
+        0, "2b94debf94784a3caf6d46aef7f4226bd4bf27f8f96d1f52a90878541e8dbd45", "",
+    ),
+    ("up", "UD" * 300, 301, "text"): (
+        1, "e1066da13fe9f51624f9c497870fa51236c50807d76d3add7fa43e693828473b",
+        "error: no positive prime (300 of 301 applications succeeded)\n",
+    ),
+    ("up", "UD" * 300, 301, "json"): (
+        1, "209c7513ef58116085b80a35dadee4a1c27736237ff9701cc8e1318162a5d0e4",
+        "error: no positive prime (300 of 301 applications succeeded)\n",
+    ),
+    ("down", "UDUD", 1, "text"): (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: no negative prime (0 of 1 applications succeeded)\n",
+    ),
+    ("down", "UDUD", 1, "json"): (
+        1, "2b30deaa41c87a3e8a1f997de832be868a297b780dbb3144359237f5f6d533df",
+        "error: no negative prime (0 of 1 applications succeeded)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "direction,path,times,fmt",
+    list(CHUNK_EDGE_PHI),
+    ids=lambda v: v if len(str(v)) < 10 else f"{v[:2]}^{len(v) // 2}",
+)
+def test_phi_bytes_at_chunk_edges(capsys, direction, path, times, fmt):
+    code, out, err = run_cli(
+        capsys,
+        "phi", "--dir", direction, "--path", path, "--times", str(times), "--format", fmt,
+    )
+    expected_code, digest, expected_err = CHUNK_EDGE_PHI[direction, path, times, fmt]
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (
+        expected_code, digest, expected_err,
+    )
+    steps = json.loads(out)["steps"] if fmt == "json" else out.splitlines()
+    assert len(steps) == min(times, path.count("UD") if direction == "up" else 0)
+
+
+@pytest.mark.parametrize(
+    "argv,size,limit",
+    [
+        # held whole, the 20,000 rendered paths peak near 3.8 MB; text rows
+        (["sample", "--n", "12", "--k", "6", "--seed", "5", "--count"], "20000", 1 << 19),
+        # held whole, the 1000 rows of 2000 steps peak near 6.6 MB; a JSON
+        # list fed by a generator
+        (["phi", "--format", "json", "--dir", "up", "--path", "UD" * 1000, "--times"],
+         "1000", 3 << 20),
+    ],
+    ids=["sample", "phi"],
+)
+def test_rows_stream_in_bounded_memory(argv, size, limit):
+    # stdout goes to os.devnull: a StringIO would keep every row itself
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        cli.run([*argv, "1"])  # warm imports and caches
+        tracemalloc.start()
+        try:
+            cli.run([*argv, size])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < limit
 
 
 class TestPhi:
