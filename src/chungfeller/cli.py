@@ -2,9 +2,10 @@
 
 Subcommands: count, verify, phi, cycle, series, sample.  Text output is
 one line per row, fields joined by TAB (_emit alone writes it); --format
-json emits the same content as JSON.  Rows are written as they are made,
-_CHUNK per write, so sample and phi never hold all of them.  Exit codes: 0 success, 1 domain
-error (one-line diagnostic on stderr), 2 usage error.
+json emits the same content as JSON.  Text rows go out _CHUNK per write;
+sample and phi pass their rows as they are made, so they never hold all
+of them.  Exit codes: 0 success, 1 domain error (one-line diagnostic on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -113,21 +114,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_phi(args: argparse.Namespace) -> int:
     apply_map = phi_plus if args.dir == "up" else phi_minus
-    stopped = []  # the error that ended the applications early, and how many succeeded
+    error = None
+    done = 0  # applications that succeeded
 
     def steps(current):
-        for done in range(args.times):
+        nonlocal error, done
+        while done < args.times:
             try:
                 current = apply_map(current)
             except (NoPositivePrime, NoNegativePrime) as exc:
-                stopped.append((exc, done))
+                error = exc
                 return
+            done += 1
             yield render_path(current), negativity(current)
 
     rows = steps(parse_path(args.path))  # parsed now: a bad path writes nothing
     _emit(args, rows, {"steps": ({"path": p, "negativity": k} for p, k in rows)})
-    if stopped:
-        ((error, done),) = stopped
+    if error is not None:
         print(
             f"error: {error} ({done} of {args.times} applications succeeded)",
             file=sys.stderr,
@@ -144,10 +147,9 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     # text: a row per list so far, its items space separated
     rows = [(key, " ".join(map(str, v))) for key, v in payload.items()]
     if seq.total == 1:
-        # the parser takes only '+' and '-', so the input is its own rendering
-        (shift,) = payload["dominating"]
+        shift, rotated = cycle.canonical_rotation(seq)
         payload["canonical_shift"] = shift
-        payload["canonical"] = args.seq[shift:] + args.seq[:shift]
+        payload["canonical"] = cycle.render_sequence(rotated)
         rows.append(("canonical", shift, payload["canonical"]))
     _emit(args, rows, payload)
     return 0
