@@ -5,7 +5,9 @@ one line per row, fields joined by TAB (_emit alone writes it); --format
 json emits the same content as JSON.  Text rows go out _CHUNK per write;
 sample and phi pass their rows as they are made, so they never hold all
 of them.  Exit codes: 0 success, 1 domain error (one-line diagnostic on
-stderr), 2 usage error.
+stderr, written by run alone), 2 usage error.  verify also exits 1 when
+a mechanism disagrees, but then every row is on stdout, the failing n
+marked FAIL, and stderr stays empty.
 """
 
 from __future__ import annotations
@@ -131,11 +133,7 @@ def _cmd_phi(args: argparse.Namespace) -> int:
     rows = steps(parse_path(args.path))  # parsed now: a bad path writes nothing
     _emit(args, rows, {"steps": ({"path": p, "negativity": k} for p, k in rows)})
     if error is not None:
-        print(
-            f"error: {error} ({done} of {args.times} applications succeeded)",
-            file=sys.stderr,
-        )
-        return 1
+        raise ChungFellerError(f"{error} ({done} of {args.times} applications succeeded)")
     return 0
 
 

@@ -56,9 +56,12 @@ class TestCount:
         assert run_cli(capsys, "count", "--n", text) == expected
 
     def test_brute_force_agrees(self, capsys):
-        code, out, _ = run_cli(capsys, "count", "--n", "5", "--brute-force")
-        assert code == 0
-        assert out.splitlines() == [f"{k}\t42" for k in range(6)]
+        # n = 12 is the enumeration bound: 2.7 M paths, the most the CLI
+        # enumerates, against the recurrence for every class
+        for n, catalan in [(5, 42), (12, 208012)]:
+            code, out, _ = run_cli(capsys, "count", "--n", str(n), "--brute-force")
+            assert code == 0
+            assert out.splitlines() == [f"{k}\t{catalan}" for k in range(n + 1)]
 
     def test_brute_force_detects_fault(self, capsys, monkeypatch):
         real = counting.count_recurrence
@@ -90,9 +93,11 @@ class TestCount:
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--max-n", "6")
-        assert code == 0
-        assert out.splitlines() == [f"{n}\tPASS" for n in range(7)]
+        # 12 is the enumeration bound: every mechanism at every n it allows
+        for max_n in [6, 12]:
+            code, out, _ = run_cli(capsys, "verify", "--max-n", str(max_n))
+            assert code == 0
+            assert out.splitlines() == [f"{n}\tPASS" for n in range(max_n + 1)]
 
     def test_json_mirror(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-n", "4", "--format", "json")
@@ -342,17 +347,23 @@ def test_phi_bytes_at_chunk_edges(capsys, direction, path, times, fmt):
 @pytest.mark.parametrize(
     "argv,size,limit",
     [
-        # held whole, the 20,000 rendered paths peak near 3.8 MB; text rows
-        (["sample", "--n", "12", "--k", "6", "--seed", "5", "--count"], "20000", 1 << 19),
-        # held whole, the 1000 rows of 2000 steps peak near 6.6 MB; a JSON
-        # list fed by a generator
-        (["phi", "--format", "json", "--dir", "up", "--path", "UD" * 1000, "--times"],
-         "1000", 3 << 20),
+        # on CPython 3.11 the peak is near 105 KB streamed; with every row
+        # held before the first write, near 615 KB
+        (["sample", "--n", "12", "--k", "6", "--seed", "5", "--count"], "4000", 256 << 10),
+        # 300 rows of 600 steps: near 72 KB streamed, 268 KB held
+        (["phi", "--dir", "up", "--path", "UD" * 300, "--times"], "300", 140 << 10),
+        # a JSON list fed by a generator, 200 rows of 400 steps: near 66 KB
+        # streamed, 408 KB held
+        (["phi", "--format", "json", "--dir", "up", "--path", "UD" * 200, "--times"],
+         "200", 160 << 10),
     ],
-    ids=["sample", "phi"],
+    ids=["sample", "phi", "phi-json"],
 )
-def test_rows_stream_in_bounded_memory(argv, size, limit):
-    # stdout goes to os.devnull: a StringIO would keep every row itself
+def test_rows_stream_in_bounded_memory(monkeypatch, argv, size, limit):
+    # chunks of 8 rows keep a streamed peak far below a held one at a few
+    # hundred rows; stdout goes to os.devnull, as a StringIO would keep
+    # every row itself
+    monkeypatch.setattr(cli, "_CHUNK", 8)
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
         cli.run([*argv, "1"])  # warm imports and caches
         tracemalloc.start()
@@ -582,6 +593,15 @@ class TestSample:
         assert code == 0
         assert json.loads(json_out)["paths"] == text_out.splitlines()
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dyck_draws_equal_class_zero_draws(self, capsys, fmt):
+        # lift at k = 0 is the identity and both paths shuffle once per
+        # draw, so a seed gives the same Dyck paths with or without --k 0
+        argv = ["sample", "--n", "12", "--count", "300", "--seed", "7", "--format", fmt]
+        dyck = run_cli(capsys, *argv)
+        assert dyck[0] == 0
+        assert run_cli(capsys, *argv, "--k", "0") == dyck
+
     @pytest.mark.parametrize("fmt, expected", [("text", ""), ("json", '{"paths": []}\n')])
     def test_zero_count_bytes(self, capsys, fmt, expected):
         # no draw: text writes zero bytes, json an empty list
@@ -656,22 +676,26 @@ class TestUsageErrors:
         ["sample", "--n", "30", "--k", "11", "--count", "3", "--seed", "1"],
         ["phi", "--dir", "down", "--times", "3", "--path", "DUDDUUUD"],
         ["cycle", "--seq=-+-++++-+"],
+        ["count", "--n", "60", "--format", "json"],
+        ["series", "--order", "12"],
     ],
 )
 def test_optimized_interpreter_prints_the_same(argv):
-    # python -O strips assert statements; no output may depend on them
-    plain, optimized = (
+    # python -O strips assert statements, so no output may depend on them;
+    # -W error -X dev makes any warning, ResourceWarning included, fatal
+    plain, *flagged = (
         subprocess.run(
             [sys.executable, *flags, "-m", "chungfeller", *argv],
             cwd=PACKAGE_PARENT,
             capture_output=True,
             text=True,
         )
-        for flags in ([], ["-O"])
+        for flags in ([], ["-O"], ["-W", "error", "-X", "dev"])
     )
-    assert plain.returncode == optimized.returncode == 0
+    assert (plain.returncode, plain.stderr) == (0, "")
     assert plain.stdout
-    assert optimized.stdout == plain.stdout
+    for proc in flagged:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, plain.stdout, "")
 
 
 def test_no_assert_statements_in_the_package():

@@ -107,7 +107,9 @@ class TestPartition:
         assert partition_by_negativity(1) == {0: 1, 1: 1}
         assert partition_by_negativity(3) == {0: 5, 1: 5, 2: 5, 3: 5}
 
-    @pytest.mark.parametrize("n", range(8))
+    # every n up to the enumeration bound, 12: a fault confined to one n
+    # shows at that n alone
+    @pytest.mark.parametrize("n", range(13))
     def test_equidistribution_and_total(self, n):
         table = partition_by_negativity(n)
         assert sum(table.values()) == central_binomial(n)
