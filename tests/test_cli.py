@@ -363,6 +363,7 @@ def test_rows_stream_in_bounded_memory(monkeypatch, argv, size, limit):
     # chunks of 8 rows keep a streamed peak far below a held one at a few
     # hundred rows; stdout goes to os.devnull, as a StringIO would keep
     # every row itself
+    assert cli._CHUNK == 256  # the chunk size that ships
     monkeypatch.setattr(cli, "_CHUNK", 8)
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
         cli.run([*argv, "1"])  # warm imports and caches
@@ -593,11 +594,10 @@ class TestSample:
         assert code == 0
         assert json.loads(json_out)["paths"] == text_out.splitlines()
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_dyck_draws_equal_class_zero_draws(self, capsys, fmt):
-        # lift at k = 0 is the identity and both paths shuffle once per
-        # draw, so a seed gives the same Dyck paths with or without --k 0
-        argv = ["sample", "--n", "12", "--count", "300", "--seed", "7", "--format", fmt]
+    def test_dyck_draws_equal_class_zero_draws(self, capsys):
+        # sample dispatches to sample_dyck without --k and to
+        # sample_k_negative with it; at k = 0 both give the same paths
+        argv = ["sample", "--n", "12", "--count", "20", "--seed", "7"]
         dyck = run_cli(capsys, *argv)
         assert dyck[0] == 0
         assert run_cli(capsys, *argv, "--k", "0") == dyck
@@ -678,6 +678,9 @@ class TestUsageErrors:
         ["cycle", "--seq=-+-++++-+"],
         ["count", "--n", "60", "--format", "json"],
         ["series", "--order", "12"],
+        # a sum-1 sequence takes cycle's canonical-rotation branch
+        ["cycle", "--seq=+-++-"],
+        ["phi", "--dir", "up", "--path", "UUDDUD", "--times", "2"],
     ],
 )
 def test_optimized_interpreter_prints_the_same(argv):

@@ -189,10 +189,11 @@ class TestSampleKNegative:
         )
 
     def test_zero_lift_matches_dyck_sampler(self):
-        a, b = RandomSource(77), RandomSource(77)
-        assert [sample_k_negative(5, 0, a) for _ in range(30)] == [
-            sample_dyck(5, b) for _ in range(30)
-        ]
+        for n, seed in ((5, 77), (12, 7)):
+            a, b = RandomSource(seed), RandomSource(seed)
+            assert [sample_k_negative(n, 0, a) for _ in range(30)] == [
+                sample_dyck(n, b) for _ in range(30)
+            ]
 
     def test_negativity_exact_per_draw(self):
         rng = RandomSource(4)
