@@ -2,9 +2,12 @@
 
 Subcommands: count, verify, phi, cycle, series, sample.  Text output is
 one line per row, fields joined by TAB (_emit alone writes it); --format
-json emits the same content as JSON.  Text rows go out _CHUNK per write;
-sample and phi pass their rows as they are made, so they never hold all
-of them.  Exit codes: 0 success, 1 domain error (one-line diagnostic on
+json emits the same content as JSON.  Text rows go out _CHUNK per write.
+Only count and verify build their rows first, at most n + 1 each; the
+other commands pass rows and JSON lists as iterators, written as they
+are made, and cycle joins each list's text a chunk at a time.  Each
+handler imports the mechanism modules it uses, so a command loads only
+its own.  Exit codes: 0 success, 1 domain error (one-line diagnostic on
 stderr, written by run alone), 2 usage error.  verify also exits 1 when
 a mechanism disagrees, but then every row is on stdout, the failing n
 marked FAIL, and stderr stays empty.
@@ -15,13 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import islice
+from itertools import chain, islice
 
-from . import counting, cycle, series
-from .bijection import phi_minus, phi_plus
 from .errors import ChungFellerError, NoNegativePrime, NoPositivePrime
-from .paths import check_class, negativity, parse_path, render_path
-from .sampler import RandomSource, sample_dyck, sample_k_negative
 
 # rows per write to stdout
 _CHUNK = 256
@@ -77,6 +76,8 @@ def _emit(args: argparse.Namespace, rows: Iterable[Iterable], payload: dict) -> 
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from . import counting
+
     # enumerate first: past the bound this fails before the recurrence runs
     oracle = counting.partition_by_negativity(args.n) if args.brute_force else None
     counts = {k: counting.count_recurrence(args.n, k) for k in range(args.n + 1)}
@@ -87,6 +88,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import counting, series
+
     # largest n first: past the bound the classifier itself refuses, before
     # the series, the recurrence and the smaller n are computed
     brute = {n: counting.partition_by_negativity(n) for n in range(args.max_n, -1, -1)}
@@ -115,6 +118,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_phi(args: argparse.Namespace) -> int:
+    from .bijection import phi_minus, phi_plus
+    from .paths import negativity, parse_path, render_path
+
     apply_map = phi_plus if args.dir == "up" else phi_minus
     error = None
     done = 0  # applications that succeeded
@@ -138,33 +144,45 @@ def _cmd_phi(args: argparse.Namespace) -> int:
 
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
+    from . import cycle
+
     seq = cycle.parse_sequence(args.seq)
-    payload: dict = {"sums": cycle.partial_sums(seq), "ranks": list(cycle.rank_order(seq))}
+    lists = {"sums": cycle.partial_sums(seq), "ranks": cycle.rank_order(seq)}
     if seq.total > 0:
-        payload["dominating"] = list(cycle.dominating_shifts(seq))
-    # text: a row per list so far, its items space separated
-    rows = [(key, " ".join(map(str, v))) for key, v in payload.items()]
+        lists["dominating"] = cycle.dominating_shifts(seq)
+    payload: dict = {key: iter(v) for key, v in lists.items()}
+    # text, made only when written: a row per list, its items space
+    # separated and joined a chunk at a time
+    rows = (
+        (key, " ".join(" ".join(map(str, chunk)) for chunk in _chunks(v)))
+        for key, v in lists.items()
+    )
     if seq.total == 1:
         shift, rotated = cycle.canonical_rotation(seq)
         payload["canonical_shift"] = shift
         payload["canonical"] = cycle.render_sequence(rotated)
-        rows.append(("canonical", shift, payload["canonical"]))
+        rows = chain(rows, [("canonical", shift, payload["canonical"])])
     _emit(args, rows, payload)
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from . import series
+
     table = series.n_series(args.order)
-    terms = [
+    terms = (
         [n, k, value]
         for n, row in enumerate(table.coeffs)
         for k, value in enumerate(row)
-    ]
+    )
     _emit(args, terms, {"terms": terms})
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .paths import check_class, render_path
+    from .sampler import RandomSource, sample_dyck, sample_k_negative
+
     rng = RandomSource(args.seed)
     if args.k is None:
         draws = (sample_dyck(args.n, rng) for _ in range(args.count))

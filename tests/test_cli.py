@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chungfeller
 from chungfeller import BivariateSeries, cli, counting, series
 
 # `python -m` imports from the working directory first, so a child process
@@ -344,6 +346,73 @@ def test_phi_bytes_at_chunk_edges(capsys, direction, path, times, fmt):
     assert len(steps) == min(times, path.count("UD") if direction == "up" else 0)
 
 
+def _cycle_text(length, total):
+    """A '+'/'-' string of that length and sum, term i a '+' iff i * 97 % length
+    is below the number of '+' terms."""
+    plus = (length + total) // 2
+    return "".join("+" if i * 97 % length < plus else "-" for i in range(length))
+
+
+# sha256 of stdout as printed when cycle held each list, and series every
+# term, before the first write.  Keyed by (length, sum, format), the sums
+# list has length + 1 items, on either side of the chunk edges; a sum-1
+# sequence has odd length, so the odd item counts take sums 0 and 2, and
+# the last case writes 257 dominating shifts
+CHUNK_EDGE_CYCLE_DIGESTS = {
+    (254, 2, "text"): "ec1d8c876edc9cf350ac1ed406c1b690c320563904d24371c32082009856019c",
+    (254, 2, "json"): "c696f016cd73fce2aa92e6c955e2a88d61102de66832326998bed32fa2d313d7",
+    (255, 1, "text"): "5be23aa3888dba00fccae8818e725907bc0e839f44672f2896f78e2ce3170627",
+    (255, 1, "json"): "6ab95eb42b542324bcd4d81409d10d7a50724cf5e8409efed22ad388e418551d",
+    (256, 0, "text"): "59e889938e2eb8ba084c2e8441e9b9ff239aed97b7c938d25d6ed7430586d2d6",
+    (256, 0, "json"): "c7a59bf1c57f75239cfe4faf0b1dbb06492880ed716dffb9e805d825d065c8d8",
+    (512, 2, "text"): "717fcfe815c140a0b9e287192cf04871e0f18ce5cd306c7d686cc6aa10ddcb87",
+    (512, 2, "json"): "4d4ad6ef79620ae3c7360f02166844e55a18f8302e60ed0e64d3d7e04df99e48",
+    (513, 1, "text"): "07404af55251f759a6f7e5697014bb4cd0ba5709090285a647cdc54ac90e4276",
+    (513, 1, "json"): "3d319e685613556196618bba540473787aeccafc40729e1a9aff512c5e8bd246",
+    (513, 257, "text"): "9eac6f502f9f72aae73b021152a0e55d0298f6f1e987140b5f0585b7a0569a0f",
+    (513, 257, "json"): "b3527681a35bf1c15ccc889756f4474b3f95e1afab957219405471b5b5684023",
+}
+
+
+@pytest.mark.parametrize(
+    "length,total,fmt", list(CHUNK_EDGE_CYCLE_DIGESTS), ids=str
+)
+def test_cycle_bytes_at_chunk_edges(capsys, length, total, fmt):
+    code, out, err = run_cli(
+        capsys, "cycle", f"--seq={_cycle_text(length, total)}", "--format", fmt
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHUNK_EDGE_CYCLE_DIGESTS[length, total, fmt]
+    if fmt == "json":
+        lists = json.loads(out)
+    else:
+        rows = (line.split("\t", 1) for line in out.splitlines())
+        lists = {key: value.split(" ") for key, value in rows}
+    assert len(lists["sums"]) == length + 1
+    assert len(lists.get("dominating", [])) == total
+    assert ("canonical" in lists) == (total == 1)
+
+
+# series --order 21 and 22 write 253 and 276 terms
+CHUNK_EDGE_SERIES_DIGESTS = {
+    (21, "text"): "87a44f5ed5cfd6eeb239b8fc1306832182da091c6bce3adb628489ed2706b680",
+    (21, "json"): "968ebc986d43c501911242e60ea3d6953374f09ba35a5c7fe4165d9dbc231742",
+    (22, "text"): "3c1c2f7f5273a32f570d39333bbc0c945d5e4011e15fb1015f41430870c39a2e",
+    (22, "json"): "1f3a356b146f56f778372f1b10907c0d252bde5d3b65b764b3810fd9a06ae120",
+}
+
+
+@pytest.mark.parametrize(
+    "order,fmt", list(CHUNK_EDGE_SERIES_DIGESTS), ids=str
+)
+def test_series_bytes_at_chunk_edges(capsys, order, fmt):
+    code, out, err = run_cli(capsys, "series", "--order", str(order), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHUNK_EDGE_SERIES_DIGESTS[order, fmt]
+    terms = json.loads(out)["terms"] if fmt == "json" else out.splitlines()
+    assert len(terms) == (order + 1) * (order + 2) // 2
+
+
 @pytest.mark.parametrize(
     "argv,size,limit",
     [
@@ -356,8 +425,16 @@ def test_phi_bytes_at_chunk_edges(capsys, direction, path, times, fmt):
         # streamed, 408 KB held
         (["phi", "--format", "json", "--dir", "up", "--path", "UD" * 200, "--times"],
          "200", 160 << 10),
+        # L = 4001 with sum 3, most of the peak the mechanism's own lists:
+        # text near 337 KB streamed, 518 KB with each list's text joined at
+        # once; JSON near 345 KB streamed, 590 KB with the lists copied and
+        # dumped whole
+        (["cycle", "--seq"], _cycle_text(4001, 3), 440 << 10),
+        (["cycle", "--format", "json", "--seq"], _cycle_text(4001, 3), 460 << 10),
+        # 1891 terms: near 167 KB streamed, 784 KB dumped whole
+        (["series", "--format", "json", "--order"], "60", 400 << 10),
     ],
-    ids=["sample", "phi", "phi-json"],
+    ids=["sample", "phi", "phi-json", "cycle", "cycle-json", "series-json"],
 )
 def test_rows_stream_in_bounded_memory(monkeypatch, argv, size, limit):
     # chunks of 8 rows keep a streamed peak far below a held one at a few
@@ -366,7 +443,9 @@ def test_rows_stream_in_bounded_memory(monkeypatch, argv, size, limit):
     assert cli._CHUNK == 256  # the chunk size that ships
     monkeypatch.setattr(cli, "_CHUNK", 8)
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
-        cli.run([*argv, "1"])  # warm imports and caches
+        # warm imports and caches on a small input: a count or order of
+        # 1 to 6, or a one-term sequence
+        cli.run([*argv, size[:1]])
         tracemalloc.start()
         try:
             cli.run([*argv, size])
@@ -743,6 +822,97 @@ def test_json_is_imported_only_for_json_output(fmt, loaded):
         text=True,
     )
     assert (proc.returncode, proc.stderr) == (0, f"{loaded} False False\n")
+
+
+@pytest.mark.parametrize(
+    "code,loaded",
+    [
+        ("import chungfeller", []),
+        # a root name imports only its defining module and what that imports
+        ("from chungfeller import catalan", ["counting", "errors", "paths"]),
+        # a submodule named in a from-import is imported and bound
+        ("from chungfeller import counting", ["counting", "errors", "paths"]),
+        ("cli.run(['count', '--n', '2'])", ["cli", "counting", "errors", "paths"]),
+        ("cli.run(['verify', '--max-n', '2'])", ["cli", "counting", "errors", "paths", "series"]),
+        ("cli.run(['phi', '--dir', 'up', '--path', 'UDUD'])", ["bijection", "cli", "errors", "paths"]),
+        ("cli.run(['cycle', '--seq=-++'])", ["cli", "cycle", "errors", "paths"]),
+        ("cli.run(['series', '--order', '2'])", ["cli", "counting", "errors", "paths", "series"]),
+        (
+            "cli.run(['sample', '--n', '3', '--k', '1', '--count', '2', '--seed', '1'])",
+            ["bijection", "cli", "cycle", "errors", "paths", "sampler"],
+        ),
+    ],
+    ids=["import", "name", "submodule", "count", "verify", "phi", "cycle", "series", "sample"],
+)
+def test_each_command_loads_only_its_own_modules(code, loaded):
+    # every command is a fresh process that compiles what it imports when
+    # no bytecode is cached, so no subcommand may load another's mechanism
+    script = (
+        "import sys\n"
+        + ("from chungfeller import cli\n" if code.startswith("cli.") else "")
+        + f"{code}\n"
+        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'chungfeller'),"
+        " file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=PACKAGE_PARENT,
+        capture_output=True,
+        text=True,
+    )
+    expected = ["chungfeller", *(f"chungfeller.{name}" for name in loaded)]
+    assert (proc.returncode, proc.stderr) == (0, " ".join(expected) + "\n")
+
+
+# the names the package root exported when it imported every mechanism
+ROOT_EXPORTS = {
+    "bijection": ["lift", "phi_minus", "phi_plus"],
+    "counting": [
+        "DEFAULT_ENUMERATION_BOUND", "catalan", "central_binomial", "count_recurrence",
+        "enumerate_balanced", "partition_by_negativity",
+    ],
+    "cycle": [
+        "CyclicSequence", "canonical_rotation", "dominating_shifts", "parse_sequence",
+        "partial_sums", "rank_order", "render_sequence",
+    ],
+    "errors": [
+        "BoundExceeded", "ChungFellerError", "IndexOutOfRange", "InvalidCharacter",
+        "NoNegativePrime", "NoPositivePrime", "NonPositiveSum", "NonUnitSum",
+        "NonzeroConstantTerm", "NotBalanced", "NotDyckPath", "OrderMismatch",
+    ],
+    "paths": [
+        "DOWN", "UP", "LatticePath", "factor_primes", "is_dyck", "negativity",
+        "parse_path", "render_path",
+    ],
+    "sampler": ["RandomSource", "sample_balanced", "sample_dyck", "sample_k_negative"],
+    "series": [
+        "BivariateSeries", "geometric_inverse", "n_series", "prime_series_neg",
+        "prime_series_pos",
+    ],
+}
+
+
+def test_package_root_resolves_every_name_it_exported(monkeypatch):
+    names = [name for module_names in ROOT_EXPORTS.values() for name in module_names]
+    assert len(names) == 45
+    assert sorted(chungfeller.__all__) == sorted(names)
+    listed = dir(chungfeller)
+    for module, module_names in ROOT_EXPORTS.items():
+        defining = importlib.import_module(f"chungfeller.{module}")
+        for name in module_names:
+            # drop a binding left by an earlier lookup, so that this one
+            # goes through the module-level __getattr__
+            monkeypatch.delitem(vars(chungfeller), name, raising=False)
+            namespace = {}
+            exec(f"from chungfeller import {name}", namespace)
+            assert namespace[name] is getattr(defining, name), name
+            assert name in listed, name
+    assert not hasattr(chungfeller, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(chungfeller, "no_such_name")
+    from chungfeller import counting as submodule
+
+    assert submodule is counting is sys.modules["chungfeller.counting"]
 
 
 # Valid values of each subcommand's options, every size small enough to run
