@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser(
-        "verify", parents=[common], help="cross-check all counting methods"
+        "verify", parents=[common], help="check enumeration = recurrence = series = Catalan"
     )
     p.add_argument(
         "--max-n", type=_integer(0), required=True, help="largest half-length"

@@ -5,17 +5,12 @@ from collections import Counter
 from functools import cache
 from itertools import accumulate, product
 
-from chungfeller import (
-    BivariateSeries,
-    CyclicSequence,
-    LatticePath,
-    RandomSource,
-    catalan,
-    enumerate_balanced,
-    negativity,
-    rank_order,
-)
 from chungfeller.bijection import _last_prime, phi_plus
+from chungfeller.counting import catalan, enumerate_balanced
+from chungfeller.cycle import CyclicSequence, rank_order
+from chungfeller.paths import LatticePath, negativity
+from chungfeller.sampler import RandomSource
+from chungfeller.series import BivariateSeries
 
 
 def chi_square(observed, classes, draws):

@@ -10,27 +10,28 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 
-from chungfeller import (
-    canonical_rotation,
+from chungfeller import cli
+from chungfeller.bijection import phi_minus, phi_plus
+from chungfeller.counting import (
     catalan,
     central_binomial,
-    cli,
     count_recurrence,
-    dominating_shifts,
-    is_dyck,
-    n_series,
-    negativity,
     partition_by_negativity,
-    phi_minus,
-    phi_plus,
-    rank_order,
-    render_path,
+)
+from chungfeller.cycle import (
     CyclicSequence,
+    canonical_rotation,
+    dominating_shifts,
+    rank_order,
+)
+from chungfeller.paths import is_dyck, negativity, render_path
+from chungfeller.sampler import (
     RandomSource,
     sample_balanced,
     sample_dyck,
     sample_k_negative,
 )
+from chungfeller.series import n_series
 from support import (
     all_pm1_sequences,
     chi_square,

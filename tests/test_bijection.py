@@ -4,26 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chungfeller import (
-    DOWN,
-    UP,
+from chungfeller import bijection
+from chungfeller.bijection import lift, phi_minus, phi_plus
+from chungfeller.counting import enumerate_balanced
+from chungfeller.errors import (
     IndexOutOfRange,
-    LatticePath,
     NoNegativePrime,
     NoPositivePrime,
     NotDyckPath,
-    RandomSource,
-    bijection,
-    enumerate_balanced,
+)
+from chungfeller.paths import (
+    DOWN,
+    UP,
+    LatticePath,
     is_dyck,
-    lift,
     negativity,
     parse_path,
-    phi_minus,
-    phi_plus,
     render_path,
-    sample_dyck,
 )
+from chungfeller.sampler import RandomSource, sample_dyck
 from support import factor_last_prime, lift_by_phi_plus, paths_by_negativity
 
 

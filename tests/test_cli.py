@@ -2,7 +2,6 @@
 
 import ast
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -17,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import chungfeller
-from chungfeller import BivariateSeries, cli, counting, series
+from chungfeller import cli, counting, series
+from chungfeller.series import BivariateSeries
 
 # `python -m` imports from the working directory first, so a child process
 # started here runs this copy of the package, installed or not
@@ -136,8 +135,8 @@ class TestVerify:
     def test_detects_enumeration_fault(self, capsys, monkeypatch):
         real = counting.partition_by_negativity
 
-        def doctored(n, **kwargs):
-            table = real(n, **kwargs)
+        def doctored(n):
+            table = real(n)
             if n == 2:
                 table[0] += 1
             return table
@@ -153,9 +152,9 @@ class TestVerify:
         real = counting.partition_by_negativity
         calls = []
 
-        def spy(n, **kwargs):
+        def spy(n):
             calls.append(n)
-            return real(n, **kwargs)
+            return real(n)
 
         monkeypatch.setattr(counting, "partition_by_negativity", spy)
         return calls
@@ -828,8 +827,6 @@ def test_json_is_imported_only_for_json_output(fmt, loaded):
     "code,loaded",
     [
         ("import chungfeller", []),
-        # a root name imports only its defining module and what that imports
-        ("from chungfeller import catalan", ["counting", "errors", "paths"]),
         # a submodule named in a from-import is imported and bound
         ("from chungfeller import counting", ["counting", "errors", "paths"]),
         ("cli.run(['count', '--n', '2'])", ["cli", "counting", "errors", "paths"]),
@@ -842,7 +839,7 @@ def test_json_is_imported_only_for_json_output(fmt, loaded):
             ["bijection", "cli", "cycle", "errors", "paths", "sampler"],
         ),
     ],
-    ids=["import", "name", "submodule", "count", "verify", "phi", "cycle", "series", "sample"],
+    ids=["import", "submodule", "count", "verify", "phi", "cycle", "series", "sample"],
 )
 def test_each_command_loads_only_its_own_modules(code, loaded):
     # every command is a fresh process that compiles what it imports when
@@ -862,57 +859,6 @@ def test_each_command_loads_only_its_own_modules(code, loaded):
     )
     expected = ["chungfeller", *(f"chungfeller.{name}" for name in loaded)]
     assert (proc.returncode, proc.stderr) == (0, " ".join(expected) + "\n")
-
-
-# the names the package root exported when it imported every mechanism
-ROOT_EXPORTS = {
-    "bijection": ["lift", "phi_minus", "phi_plus"],
-    "counting": [
-        "DEFAULT_ENUMERATION_BOUND", "catalan", "central_binomial", "count_recurrence",
-        "enumerate_balanced", "partition_by_negativity",
-    ],
-    "cycle": [
-        "CyclicSequence", "canonical_rotation", "dominating_shifts", "parse_sequence",
-        "partial_sums", "rank_order", "render_sequence",
-    ],
-    "errors": [
-        "BoundExceeded", "ChungFellerError", "IndexOutOfRange", "InvalidCharacter",
-        "NoNegativePrime", "NoPositivePrime", "NonPositiveSum", "NonUnitSum",
-        "NonzeroConstantTerm", "NotBalanced", "NotDyckPath", "OrderMismatch",
-    ],
-    "paths": [
-        "DOWN", "UP", "LatticePath", "factor_primes", "is_dyck", "negativity",
-        "parse_path", "render_path",
-    ],
-    "sampler": ["RandomSource", "sample_balanced", "sample_dyck", "sample_k_negative"],
-    "series": [
-        "BivariateSeries", "geometric_inverse", "n_series", "prime_series_neg",
-        "prime_series_pos",
-    ],
-}
-
-
-def test_package_root_resolves_every_name_it_exported(monkeypatch):
-    names = [name for module_names in ROOT_EXPORTS.values() for name in module_names]
-    assert len(names) == 45
-    assert sorted(chungfeller.__all__) == sorted(names)
-    listed = dir(chungfeller)
-    for module, module_names in ROOT_EXPORTS.items():
-        defining = importlib.import_module(f"chungfeller.{module}")
-        for name in module_names:
-            # drop a binding left by an earlier lookup, so that this one
-            # goes through the module-level __getattr__
-            monkeypatch.delitem(vars(chungfeller), name, raising=False)
-            namespace = {}
-            exec(f"from chungfeller import {name}", namespace)
-            assert namespace[name] is getattr(defining, name), name
-            assert name in listed, name
-    assert not hasattr(chungfeller, "no_such_name")
-    with pytest.raises(AttributeError, match="no_such_name"):
-        getattr(chungfeller, "no_such_name")
-    from chungfeller import counting as submodule
-
-    assert submodule is counting is sys.modules["chungfeller.counting"]
 
 
 # Valid values of each subcommand's options, every size small enough to run

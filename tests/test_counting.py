@@ -9,22 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chungfeller import (
-    DOWN,
-    UP,
-    BoundExceeded,
-    IndexOutOfRange,
+from chungfeller import cli, counting
+from chungfeller.counting import (
     catalan,
     central_binomial,
     count_recurrence,
-    cli,
-    counting,
     enumerate_balanced,
-    n_series,
-    negativity,
     partition_by_negativity,
-    render_path,
 )
+from chungfeller.errors import BoundExceeded, IndexOutOfRange
+from chungfeller.paths import DOWN, UP, negativity, render_path
+from chungfeller.series import n_series
 from support import (
     count_by_steps,
     count_recurrence_by_definition,

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chungfeller import (
+from chungfeller.cycle import (
     CyclicSequence,
-    InvalidCharacter,
-    NonPositiveSum,
-    NonUnitSum,
+    _shifts,
     canonical_rotation,
     dominating_shifts,
     parse_sequence,
@@ -21,7 +19,7 @@ from chungfeller import (
     rank_order,
     render_sequence,
 )
-from chungfeller.cycle import _shifts
+from chungfeller.errors import InvalidCharacter, NonPositiveSum, NonUnitSum
 from support import (
     all_pm1_sequences,
     dominating_shifts_by_rotation,

@@ -26,10 +26,9 @@ def package_imports(module):
     """{package module: names taken from it} for one module's source.
 
     A whole-module import takes "*"; a name taken from the package root is
-    filed under "__init__".  The root re-exports every mechanism's names,
-    but imports each module only when one of its names is first used, by
-    a table this reader does not follow; so no mechanism may take a name
-    from the root at all (test_no_mechanism_imports_the_package_root).
+    filed under "__init__".  The root holds only the package docstring and
+    `__version__`, so no mechanism has a name to take from it
+    (test_no_mechanism_imports_the_package_root).
     """
     taken = {}
 
@@ -103,9 +102,15 @@ def test_reader_sees_unused_imports():
     assert unused_imports(source) == {"json"}
 
 
-@pytest.mark.parametrize("module", sorted(MODULES))
+# every package module, and every test module as tests.<name>
+SOURCES = {module: PACKAGE / f"{module}.py" for module in MODULES} | {
+    f"tests.{path.stem}": path for path in Path(__file__).parent.glob("*.py")
+}
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_module_imports_a_name_it_never_uses(module):
-    assert unused_imports((PACKAGE / f"{module}.py").read_text()) == set()
+    assert unused_imports(SOURCES[module].read_text()) == set()
 
 
 def test_no_mechanism_imports_the_package_root():

@@ -7,31 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chungfeller import (
+from chungfeller.bijection import lift, phi_minus, phi_plus
+from chungfeller.counting import count_recurrence, enumerate_balanced
+from chungfeller.cycle import CyclicSequence
+from chungfeller.errors import IndexOutOfRange, InvalidCharacter, NotBalanced
+from chungfeller.paths import (
     DOWN,
     UP,
-    BivariateSeries,
-    CyclicSequence,
-    IndexOutOfRange,
-    InvalidCharacter,
     LatticePath,
-    NotBalanced,
-    RandomSource,
-    count_recurrence,
-    enumerate_balanced,
+    check_class,
     factor_primes,
     is_dyck,
-    lift,
     negativity,
     parse_path,
-    phi_minus,
-    phi_plus,
     render_path,
+)
+from chungfeller.sampler import (
+    RandomSource,
     sample_balanced,
     sample_dyck,
     sample_k_negative,
 )
-from chungfeller.paths import check_class
+from chungfeller.series import BivariateSeries
 from support import heights
 
 ud_text = st.text(alphabet="UD", max_size=16)

@@ -9,19 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chungfeller import (
-    DOWN,
-    UP,
-    IndexOutOfRange,
-    LatticePath,
+from chungfeller import cycle, paths
+from chungfeller.counting import catalan, enumerate_balanced
+from chungfeller.errors import IndexOutOfRange
+from chungfeller.paths import DOWN, UP, is_dyck, negativity, render_path
+from chungfeller.sampler import (
     RandomSource,
-    catalan,
-    cycle,
-    enumerate_balanced,
-    is_dyck,
-    paths,
-    negativity,
-    render_path,
     sample_balanced,
     sample_dyck,
     sample_k_negative,

@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chungfeller import (
-    BivariateSeries,
-    IndexOutOfRange,
-    NonzeroConstantTerm,
-    OrderMismatch,
+from chungfeller import cli
+from chungfeller.counting import (
     catalan,
     central_binomial,
-    cli,
     count_recurrence,
+    partition_by_negativity,
+)
+from chungfeller.errors import IndexOutOfRange, NonzeroConstantTerm, OrderMismatch
+from chungfeller.series import (
+    BivariateSeries,
     geometric_inverse,
     n_series,
-    partition_by_negativity,
     prime_series_neg,
     prime_series_pos,
 )
